@@ -124,8 +124,8 @@ fn run_bench(args: &[String]) -> ExitCode {
     }
     let report = gts_bench::perfbench::run(smoke);
     println!(
-        "arrival/topo64 speedup (sequential/engine, {} thread(s)): {:.2}x{}",
-        report.threads,
+        "arrival/topo64 speedup (sequential/engine, {} core(s)): {:.2}x{}",
+        report.available_parallelism,
         report.arrival_speedup,
         if smoke { "  [smoke — not comparable]" } else { "" },
     );

@@ -3,8 +3,8 @@
 //! The fig10/fig11/failures/validate experiments run independent
 //! simulations per `(seed, policy)` cell; each cell is deterministic, so
 //! running them on a scoped worker pool changes nothing but wall-clock.
-//! Thread count follows the evaluation engine's `GTS_EVAL_THREADS` knob —
-//! `1` makes every sweep serial again.
+//! The pool has one worker per available core; `GTS_EVAL_THREADS=1` (the
+//! sequential reference) makes every sweep serial again.
 
 use gts_core::prelude::EvalParams;
 
@@ -17,7 +17,11 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = EvalParams::from_env().threads;
+    let threads = if EvalParams::from_env().is_sequential() {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
     if threads <= 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }

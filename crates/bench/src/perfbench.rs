@@ -98,8 +98,11 @@ pub struct PhaseShares {
 /// without re-running the whole suite.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BenchReport {
-    /// Worker threads the engine ran with (`GTS_EVAL_THREADS`).
-    pub threads: u64,
+    /// Cores the host reports (`std::thread::available_parallelism`).
+    /// Every decision runs on one thread, so this describes the host, not
+    /// the engine.
+    #[serde(default)]
+    pub available_parallelism: u64,
     /// True when run with `--smoke` (tiny sample counts; numbers are only
     /// good for checking the harness, not for comparison).
     pub smoke: bool,
@@ -350,11 +353,12 @@ pub fn run(smoke: bool) -> BenchReport {
         loop_stats.eval_cache_hits as f64 / lookups as f64
     };
 
-    // 5. The datacenter-scale trio: the single-shard reference, the serial
-    // sharded two-level scheduler (shard fan-out and bound pruning pinned
-    // off — the PR 6 A/B baseline) and the parallel+pruned shard path, on
-    // a rack-partitioned cluster under a sustained Poisson stream dense
-    // enough to keep the cluster saturated. Each variant runs SAMPLES
+    // 5. The datacenter-scale pair: the single-shard reference and the
+    // sharded two-level scheduler (bound pruning and decision replay
+    // pinned off — the PR 6 A/B baseline), on a rack-partitioned cluster
+    // under a sustained Poisson stream dense enough to keep the cluster
+    // saturated. The shipped default path is measured by `gts bench
+    // scale-curve`. Each variant runs SAMPLES
     // independent sims (distinct Poisson seeds over the same regime) and
     // the entries carry the mean/min across them, so the derived speedups
     // average over warm decision distributions instead of trusting one
@@ -370,17 +374,10 @@ pub fn run(smoke: bool) -> BenchReport {
             poisson_trace(huge_machines, (huge_jobs / HUGE_SAMPLES).max(1), 3003 + i as u64)
         })
         .collect();
-    // `serial_eval` is the PR 6 A/B baseline: fan-out, bound pruning AND
-    // decision replay pinned off, regardless of ambient knobs. `par_eval`
-    // is the full engine with replay on.
-    let serial_eval = EvalParams::from_env()
-        .with_shard_par(false)
-        .with_shard_bound(false)
-        .with_decision_replay(false);
-    let par_eval = EvalParams::from_env()
-        .with_shard_par(true)
-        .with_shard_bound(true)
-        .with_decision_replay(true);
+    // `serial_eval` is the PR 6 A/B baseline: bound pruning and decision
+    // replay pinned off, regardless of ambient knobs.
+    let serial_eval =
+        EvalParams::from_env().with_shard_bound(false).with_decision_replay(false);
 
     let mut results: Vec<BenchEntry> = c
         .take_records()
@@ -398,7 +395,6 @@ pub fn run(smoke: bool) -> BenchReport {
     for (label, shards, eval) in [
         ("huge_single", 1, serial_eval),
         ("huge_sharded", huge_racks, serial_eval),
-        ("huge_par", huge_racks, par_eval),
     ] {
         let runs: Vec<SimRun> = huge_traces
             .iter()
@@ -434,7 +430,8 @@ pub fn run(smoke: bool) -> BenchReport {
     results.sort_by(|a, b| a.label.cmp(&b.label));
 
     let report = BenchReport {
-        threads: engine.threads as u64,
+        available_parallelism: std::thread::available_parallelism()
+            .map_or(1, |n| n.get() as u64),
         smoke,
         arrival_speedup: 0.0,
         sim_loop_speedup: 0.0,
@@ -585,10 +582,8 @@ mod tests {
             "sim/large_cached",
             "sim/huge_single",
             "sim/huge_sharded",
-            "sim/huge_par",
             "decision/huge_single",
             "decision/huge_sharded",
-            "decision/huge_par",
         ] {
             assert!(
                 report.mean_ns(label).is_some_and(|ns| ns > 0),
@@ -598,7 +593,7 @@ mod tests {
         // The huge decision latencies feed huge_decision_speedup — they
         // must aggregate several independent runs, not trust one sample,
         // and carry the per-decision tail alongside the mean.
-        for label in ["decision/huge_single", "decision/huge_sharded", "decision/huge_par"] {
+        for label in ["decision/huge_single", "decision/huge_sharded"] {
             let entry = report.results.iter().find(|e| e.label == label).unwrap();
             assert!(entry.samples >= 5, "{label} ran {} samples, need ≥ 5", entry.samples);
             assert!(entry.min_ns <= entry.mean_ns, "{label} min above mean");
@@ -690,7 +685,7 @@ mod tests {
             JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
         let policy = Policy::new(PolicyKind::TopoAware);
         let seq = policy.decide_with(&state, &job, EvalParams::sequential());
-        let eng = policy.decide_with(&state, &job, EvalParams::parallel(4));
+        let eng = policy.decide_with(&state, &job, EvalParams::engine());
         assert_eq!(seq, eng);
     }
 }

@@ -1,5 +1,5 @@
-//! The placement evaluation engine: memoized + parallel candidate scoring
-//! for the `TOPO-AWARE(-P)` policies.
+//! The placement evaluation engine: memoized candidate scoring for the
+//! `TOPO-AWARE(-P)` policies.
 //!
 //! The naive Algorithm 1 arrival cost is one full Algorithm 2/3 DRB
 //! mapping per feasible machine — linear in cluster size. Two observations
@@ -11,24 +11,21 @@
 //!    Eq. 2–5. On a mostly-idle homogeneous cluster almost every machine
 //!    collapses into a handful of classes, so the engine runs one DRB
 //!    mapping per *class* and fans the result out to every member.
-//! 2. **Parallel representatives.** The per-class evaluations are
-//!    independent, so they run on a scoped worker pool. Results return to
-//!    indexed slots, making the reduction deterministic regardless of
-//!    thread interleaving; together with the oracle's canonical co-runner
-//!    order this keeps every utility bit-identical to the sequential
-//!    reference (`GTS_EVAL_THREADS=1`).
-//!
-//! The engine never changes *which* candidate wins: the policy's
-//! tie-breaking (`FRAG_TIE_EPS` + Eq. 5) runs sequentially over the
-//! fanned-out per-candidate outcomes in original candidate order.
-//!
-//! 3. **Cross-event caching.** Because the class key is a pure function of
+//!    Together with the oracle's canonical co-runner order this keeps
+//!    every utility bit-identical to the sequential reference
+//!    (`GTS_EVAL_THREADS=1`).
+//! 2. **Cross-event caching.** Because the class key is a pure function of
 //!    machine state and the job-side inputs reduce to a small *job class*,
 //!    a `(machine class, job class) → outcome` entry never goes stale —
 //!    only cold. [`EvalCache`] therefore persists across arrivals for the
-//!    whole scheduler/simulation run (a sharded LRU, `GTS_EVAL_CACHE`
-//!    knob), so steady-state arrivals that revisit known keys skip the DRB
-//!    mapping entirely (DESIGN.md §9).
+//!    whole scheduler/simulation run (an LRU, `GTS_EVAL_CACHE` knob), so
+//!    steady-state arrivals that revisit known keys skip the DRB mapping
+//!    entirely (DESIGN.md §9).
+//!
+//! Every evaluation runs on the caller's thread. The engine never changes
+//! *which* candidate wins: the policy's tie-breaking (`FRAG_TIE_EPS` +
+//! Eq. 5) runs over the fanned-out per-candidate outcomes in original
+//! candidate order.
 
 use crate::oracle::{placement_utility, StateOracle};
 use crate::state::{ClusterState, MachineClassKey};
@@ -40,23 +37,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Spawning threads for a couple of representatives costs more than the
-/// evaluations; below this many distinct classes the engine stays on the
-/// caller's thread (memoization still applies).
-const MIN_PARALLEL_CLASSES: usize = 4;
-
 /// Evaluation-engine parameters, threaded from the drivers down to
 /// [`crate::Policy::decide_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalParams {
-    /// Worker threads for candidate evaluation. `1` selects the sequential
-    /// reference path: every candidate is evaluated in order with no
-    /// memoization, exactly as the pre-engine scheduler did.
-    pub threads: usize,
-    /// Fan memo-miss shards out across the worker pool as one batch
-    /// (`GTS_SHARD_PAR`, default on). Off selects the serial shard loop —
-    /// the PR 6 reference path. Results are bit-identical either way.
-    pub shard_par: bool,
+    /// Selects the sequential reference path: every candidate is evaluated
+    /// in order with no memoization, exactly as the pre-engine scheduler
+    /// did. `false` is the memoized engine.
+    pub sequential: bool,
     /// Prune memo-miss shards whose admissible utility bound proves them
     /// uncompetitive (`GTS_SHARD_BOUND`, default on). Exact
     /// branch-and-bound: results are bit-identical either way.
@@ -70,58 +58,33 @@ pub struct EvalParams {
 
 impl EvalParams {
     /// The sequential reference: candidates evaluated one by one, no
-    /// memoization, no worker pool.
+    /// memoization.
     pub fn sequential() -> Self {
-        Self {
-            threads: 1,
-            shard_par: shard_par_env(),
-            shard_bound: shard_bound_env(),
-            decision_replay: decision_replay_env(),
-        }
+        Self::new(true)
     }
 
-    /// The engine with an explicit worker count (`≥ 2`; clamped up).
-    pub fn parallel(threads: usize) -> Self {
-        Self {
-            threads: threads.max(2),
-            shard_par: shard_par_env(),
-            shard_bound: shard_bound_env(),
-            decision_replay: decision_replay_env(),
-        }
+    /// The memoized engine.
+    pub fn engine() -> Self {
+        Self::new(false)
     }
 
-    /// Reads `GTS_EVAL_THREADS` (cached after the first read). Unset or
-    /// unparsable values default to the host's available parallelism, with
-    /// a floor of 2 so the memoized engine stays on even on single-core
-    /// hosts — the memoization wins are independent of thread count.
+    fn new(sequential: bool) -> Self {
+        Self { sequential, shard_bound: shard_bound_env(), decision_replay: decision_replay_env() }
+    }
+
+    /// Reads `GTS_EVAL_THREADS` (cached after the first read): `1` selects
+    /// the sequential reference; unset or any other value selects the
+    /// engine.
     pub fn from_env() -> Self {
-        static CACHED: OnceLock<usize> = OnceLock::new();
-        let threads = *CACHED.get_or_init(|| {
-            match std::env::var("GTS_EVAL_THREADS") {
-                Ok(v) => match v.trim().parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => default_threads(),
-                },
-                Err(_) => default_threads(),
-            }
-        });
-        Self {
-            threads,
-            shard_par: shard_par_env(),
-            shard_bound: shard_bound_env(),
-            decision_replay: decision_replay_env(),
-        }
+        static SEQUENTIAL: OnceLock<bool> = OnceLock::new();
+        Self::new(*SEQUENTIAL.get_or_init(|| {
+            std::env::var("GTS_EVAL_THREADS").is_ok_and(|v| v.trim().parse::<usize>() == Ok(1))
+        }))
     }
 
     /// True when this selects the sequential reference path.
     pub fn is_sequential(&self) -> bool {
-        self.threads <= 1
-    }
-
-    /// Overrides the shard fan-out knob (for in-process A/B testing).
-    pub fn with_shard_par(mut self, on: bool) -> Self {
-        self.shard_par = on;
-        self
+        self.sequential
     }
 
     /// Overrides the shard bound-pruning knob (for in-process A/B testing).
@@ -135,13 +98,6 @@ impl EvalParams {
         self.decision_replay = on;
         self
     }
-}
-
-/// `GTS_SHARD_PAR` (cached): `0`/`off`/`false` disable the parallel shard
-/// fan-out; anything else (including unset) leaves it on.
-fn shard_par_env() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| parse_on_by_default(std::env::var("GTS_SHARD_PAR").ok().as_deref()))
 }
 
 /// `GTS_SHARD_BOUND` (cached): `0`/`off`/`false` disable bound pruning;
@@ -159,21 +115,16 @@ fn decision_replay_env() -> bool {
         .get_or_init(|| parse_on_by_default(std::env::var("GTS_DECISION_REPLAY").ok().as_deref()))
 }
 
+/// Whether an on-by-default knob stays on: only `0`/`off`/`false` (any
+/// case, surrounding whitespace ignored) turn it off.
 fn parse_on_by_default(raw: Option<&str>) -> bool {
-    !matches!(raw.map(str::trim), Some("0" | "off" | "false"))
+    !raw.is_some_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false"))
 }
 
 impl Default for EvalParams {
     fn default() -> Self {
         Self::from_env()
     }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2)
 }
 
 /// What evaluating one candidate machine produced.
@@ -264,11 +215,6 @@ impl CacheKey {
         let bits = machine.hash_bits().rotate_left(32) ^ job_bits;
         Self { machine, job, bits }
     }
-
-    /// 64-bit hash used for both shard selection and the per-shard map.
-    fn hash_bits(&self) -> u64 {
-        self.bits
-    }
 }
 
 impl Hash for CacheKey {
@@ -277,32 +223,30 @@ impl Hash for CacheKey {
     }
 }
 
-/// Default total cache capacity (entries across all shards) when
-/// `GTS_EVAL_CACHE` is unset or just "1"/"on".
+/// Default cache capacity in entries (per state shard on the sharded
+/// path) when `GTS_EVAL_CACHE` is unset or just "1"/"on".
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Shards in the cross-event cache. Lookups are grouped per arrival (one
-/// per equivalence class), so contention is light; 8 shards keeps the
-/// parallel evaluation path from serializing on one mutex.
-const N_SHARDS: usize = 8;
 
 /// Parses `GTS_EVAL_CACHE` once: `None` = disabled (`0`/`off`/`false`,
 /// restoring the pre-cache behavior), otherwise the total entry capacity
 /// (`1`/`on`/`true`/unset → the default, any other positive integer → that
-/// capacity).
+/// capacity). Words match in any case.
 fn cache_env() -> Option<usize> {
     static CACHED: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("GTS_EVAL_CACHE") {
-        Ok(v) => match v.trim() {
-            "0" | "off" | "false" => None,
-            "1" | "on" | "true" | "" => Some(DEFAULT_CACHE_CAPACITY),
-            other => match other.parse::<usize>() {
-                Ok(n) if n > 0 => Some(n),
-                _ => Some(DEFAULT_CACHE_CAPACITY),
-            },
+    *CACHED.get_or_init(|| parse_cache(std::env::var("GTS_EVAL_CACHE").ok().as_deref()))
+}
+
+fn parse_cache(raw: Option<&str>) -> Option<usize> {
+    let Some(v) = raw else {
+        return Some(DEFAULT_CACHE_CAPACITY);
+    };
+    match v.trim().to_ascii_lowercase().as_str() {
+        "0" | "off" | "false" => None,
+        other => match other.parse::<usize>() {
+            Ok(n) if n > 1 => Some(n),
+            _ => Some(DEFAULT_CACHE_CAPACITY),
         },
-        Err(_) => Some(DEFAULT_CACHE_CAPACITY),
-    })
+    }
 }
 
 /// Hit/miss/eviction counters of an [`EvalCache`], read at any point of a
@@ -347,10 +291,10 @@ pub struct DecisionReplayStats {
 
 const NIL: usize = usize::MAX;
 
-/// One shard: a hash map into a slab threaded with an intrusive
-/// doubly-linked LRU list (`head` = most recent, `tail` = eviction
-/// victim). All operations are O(1).
-struct Shard {
+/// The LRU: a hash map into a slab threaded with an intrusive
+/// doubly-linked list (`head` = most recent, `tail` = eviction victim).
+/// All operations are O(1).
+struct Lru {
     map: HashMap<CacheKey, usize, std::hash::BuildHasherDefault<FnvHasher>>,
     slab: Vec<Entry>,
     head: usize,
@@ -365,7 +309,7 @@ struct Entry {
     next: usize,
 }
 
-impl Shard {
+impl Lru {
     fn new(capacity: usize) -> Self {
         Self { map: HashMap::default(), slab: Vec::new(), head: NIL, tail: NIL, capacity }
     }
@@ -428,7 +372,7 @@ impl Shard {
     }
 }
 
-/// The cross-event placement cache: a sharded, capacity-bounded LRU from
+/// The cross-event placement cache: a capacity-bounded LRU from
 /// `(machine class, job class)` to the evaluated candidate outcome,
 /// owned by a [`crate::Scheduler`] for the whole run.
 ///
@@ -440,7 +384,7 @@ impl Shard {
 /// (debug builds re-run the evaluation on every hit and assert exactly
 /// that).
 pub struct EvalCache {
-    shards: Vec<Mutex<Shard>>,
+    lru: Mutex<Lru>,
     /// Cross-decision memo of whole-shard evaluations for the two-level
     /// sharded path, keyed by (state shard, job class) and guarded by the
     /// shard index's `(epoch, version)` pair — see [`ShardClassed`].
@@ -573,7 +517,7 @@ pub(crate) struct MemoRow {
 }
 
 /// FNV-1a for the scheduler-internal hash maps (the shard memo and the
-/// per-shard LRU maps). Their keys are hashed on the per-decision hot
+/// LRU map). Their keys are hashed on the per-decision hot
 /// path, where the default SipHash's DoS resistance buys nothing (keys
 /// are small, fixed-shape and entirely trusted) but costs a measurable
 /// slice of steady-state decision latency.
@@ -617,12 +561,10 @@ impl std::fmt::Debug for EvalCache {
 }
 
 impl EvalCache {
-    /// A cache bounded at `capacity` total entries (spread over the
-    /// shards; floor of one entry per shard).
+    /// A cache bounded at `capacity` entries (floor of one).
     pub fn with_capacity(capacity: usize) -> Self {
-        let per_shard = capacity.div_ceil(N_SHARDS).max(1);
         Self {
-            shards: (0..N_SHARDS).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
+            lru: Mutex::new(Lru::new(capacity.max(1))),
             shard_memo: Mutex::new(ShardMemoMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -664,20 +606,18 @@ impl EvalCache {
         Self::with_capacity(cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY))
     }
 
-    /// The cache vector for the two-level decision path: one cache shared
-    /// by every shard, with the per-shard `GTS_EVAL_CACHE` capacity scaled
-    /// by the shard count (the same total budget a cache-per-shard split
+    /// The cache for the two-level decision path: one cache shared by
+    /// every shard, with the per-shard `GTS_EVAL_CACHE` capacity scaled by
+    /// the shard count (the same total budget a cache-per-shard split
     /// would claim). Sharing matters because machine-class keys recur
     /// across shards — an idle machine's key is the same in every rack —
     /// and per-shard caches made every shard learn every (machine class,
     /// job class) pair independently, multiplying first-touch DRB
     /// evaluations by the shard count. Keys are pure functions of state,
-    /// so cache placement never affects the bits a lookup returns; the
-    /// internal 8-way mutex sharding keeps parallel evaluators from
-    /// serializing on it.
-    pub fn from_env_per_shard(n_shards: usize) -> Vec<Self> {
+    /// so cache placement never affects the bits a lookup returns.
+    pub fn from_env_per_shard(n_shards: usize) -> Self {
         let capacity = cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY);
-        vec![Self::with_capacity(capacity.saturating_mul(n_shards.max(1)))]
+        Self::with_capacity(capacity.saturating_mul(n_shards.max(1)))
     }
 
     /// Whether `GTS_EVAL_CACHE` leaves the cache enabled (anything but
@@ -719,14 +659,8 @@ impl EvalCache {
         self.replay_full_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        // Spread by the high bits — the low bits feed the in-shard map.
-        let h = key.hash_bits();
-        &self.shards[(h >> 32) as usize % self.shards.len()]
-    }
-
     fn get(&self, key: &CacheKey) -> Option<CandidateOutcome> {
-        let hit = self.shard(key).lock().expect("cache shard poisoned").get(key);
+        let hit = self.lru.lock().expect("eval cache poisoned").get(key);
         match hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -735,11 +669,7 @@ impl EvalCache {
     }
 
     fn insert(&self, key: CacheKey, value: CandidateOutcome) {
-        let evicted = self
-            .shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, value);
+        let evicted = self.lru.lock().expect("eval cache poisoned").insert(key, value);
         if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -768,12 +698,12 @@ fn evaluate_one(
     CandidateOutcome::Feasible { gpus: gpus.into(), utility, frag_after }
 }
 
-/// Resolves one candidate machine's outcome the way a fresh
-/// [`evaluate_topo_classes`] pass would: served from the cross-event cache
-/// when the `(machine class, job class)` pair is known, otherwise the full
-/// evaluation runs and fills the cache. The shard-repair path calls this
-/// for exactly the machines whose class key changed since the memoized
-/// pass; `job_bits` must be `job_class.bits()`, hoisted by the caller.
+/// Resolves one candidate machine's outcome: served from the cross-event
+/// cache when the `(machine class, job class)` pair is known, otherwise the
+/// full evaluation runs and fills the cache. [`evaluate_topo_classes`] calls
+/// this once per class representative, and the shard-repair path for
+/// exactly the machines whose class key changed since the memoized pass;
+/// `job_bits` must be `job_class.bits()`, hoisted by the caller.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve_candidate_outcome(
     state: &ClusterState,
@@ -833,12 +763,11 @@ fn debug_assert_hit_matches(
 }
 
 /// Evaluates every candidate machine, returning outcomes in candidate
-/// order. `params.threads == 1` is the sequential reference; otherwise
-/// candidates are deduplicated into equivalence classes via the state's
-/// precomputed keys and one representative per class is evaluated (in
-/// parallel when there are enough classes to pay for the threads). With a
-/// `cache`, class results are first looked up in — and misses fill — the
-/// cross-event cache.
+/// order. `params.sequential` is the reference; otherwise candidates are
+/// deduplicated into equivalence classes via the state's precomputed keys
+/// and one representative per class is evaluated. With a `cache`, class
+/// results are first looked up in — and misses fill — the cross-event
+/// cache.
 pub(crate) fn evaluate_topo_candidates(
     state: &ClusterState,
     job: &JobSpec,
@@ -857,7 +786,7 @@ pub(crate) fn evaluate_topo_candidates(
             .map(|&m| evaluate_one(state, job, graph, weights, m))
             .collect();
     }
-    let classed = evaluate_topo_classes(state, job, graph, weights, candidates, params, cache);
+    let classed = evaluate_topo_classes(state, job, graph, weights, candidates, cache);
     // Fan each class result out to its members, preserving candidate order.
     classed
         .class_of
@@ -881,8 +810,8 @@ pub(crate) struct ClassedOutcomes {
 
 /// The engine's class-level core: groups `candidates` into equivalence
 /// classes via the state's precomputed keys, answers what it can from the
-/// cross-event `cache`, and evaluates the remaining representatives (in
-/// parallel when there are enough of them). Outcomes are bit-identical to
+/// cross-event `cache`, and evaluates the remaining representatives.
+/// Outcomes are bit-identical to
 /// evaluating each candidate individually, by the class-key purity
 /// argument (DESIGN.md §7, §9).
 pub(crate) fn evaluate_topo_classes(
@@ -891,7 +820,6 @@ pub(crate) fn evaluate_topo_classes(
     graph: &JobGraph,
     weights: UtilityWeights,
     candidates: &[MachineId],
-    params: EvalParams,
     cache: Option<&EvalCache>,
 ) -> ClassedOutcomes {
     // Group candidates into equivalence classes; the first member of each
@@ -916,122 +844,28 @@ pub(crate) fn evaluate_topo_classes(
         class_of.push(class);
     }
 
-    // Serve whatever the cross-event cache already knows; evaluate the rest.
+    // One evaluation per class: served from the cross-event cache when it
+    // knows the key, otherwise evaluated (filling the cache).
     let job_class = cache.and_then(|_| JobClassKey::of(job, weights));
-    let cache = if job_class.is_some() { cache } else { None };
-    let mut rep_outcomes: Vec<Option<CandidateOutcome>> = vec![None; reps.len()];
-    let mut pending: Vec<usize> = Vec::new();
-    if let (Some(cache), Some(jc)) = (cache, &job_class) {
-        let job_bits = jc.bits();
-        for (i, key) in rep_keys.iter().enumerate() {
-            match cache.get(&CacheKey::new(key.clone(), jc.clone(), job_bits)) {
-                Some(hit) => {
-                    #[cfg(debug_assertions)]
-                    debug_assert_hit_matches(state, job, graph, weights, reps[i], &hit);
-                    rep_outcomes[i] = Some(hit);
-                }
-                None => pending.push(i),
-            }
-        }
-    } else {
-        pending.extend(0..reps.len());
-    }
-
-    let fresh: Vec<CandidateOutcome> =
-        if pending.len() >= MIN_PARALLEL_CLASSES && params.threads > 1 {
-            let machines: Vec<MachineId> = pending.iter().map(|&i| reps[i]).collect();
-            run_indexed(machines.len(), params.threads, |i| {
-                evaluate_one(state, job, graph, weights, machines[i])
-            })
-        } else {
-            pending
-                .iter()
-                .map(|&i| evaluate_one(state, job, graph, weights, reps[i]))
-                .collect()
-        };
-    for (&i, outcome) in pending.iter().zip(fresh) {
-        if let (Some(cache), Some(jc)) = (cache, &job_class) {
-            cache.insert(
-                CacheKey::new(rep_keys[i].clone(), jc.clone(), jc.bits()),
-                outcome.clone(),
-            );
-        }
-        rep_outcomes[i] = Some(outcome);
-    }
-    ClassedOutcomes {
-        class_of,
-        outcomes: rep_outcomes
-            .into_iter()
-            .map(|o| o.expect("every class evaluated"))
-            .collect(),
-    }
-}
-
-
-/// Runs `f(0)..f(n-1)` on a scoped pool of up to `threads` workers,
-/// returning results in index order regardless of thread interleaving.
-///
-/// If a worker panics, its actual panic payload is re-raised on the
-/// caller's thread. The work queue is a bounded channel fed *inside* the
-/// scope: when every worker has died the feed send fails and the feeder
-/// simply stops, so the join below surfaces the worker's own panic instead
-/// of the feeder masking it with a closed-channel panic of its own.
-pub(crate) fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let n_workers = threads.min(n).max(1);
-    let (tx_work, rx_work) = crossbeam::channel::bounded::<usize>(n_workers);
-    let (tx_out, rx_out) = crossbeam::channel::unbounded::<(usize, T)>();
-    let panic_payload = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let rx_work = rx_work.clone();
-                let tx_out = tx_out.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    while let Ok(i) = rx_work.recv() {
-                        let out = f(i);
-                        if tx_out.send((i, out)).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        // Drop the feeder-side receiver clone source so a fully-dead pool
-        // closes the channel (send fails) instead of blocking forever.
-        drop(rx_work);
-        drop(tx_out);
-        for i in 0..n {
-            if tx_work.send(i).is_err() {
-                break;
-            }
-        }
-        drop(tx_work);
-        let mut payload = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
-            }
-        }
-        payload
-    });
-    if let Some(p) = panic_payload {
-        std::panic::resume_unwind(p);
-    }
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, out) in rx_out.try_iter() {
-        slots[i] = Some(out);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every work item evaluated"))
-        .collect()
+    let job_bits = job_class.as_ref().map_or(0, JobClassKey::bits);
+    let outcomes = reps
+        .iter()
+        .zip(&rep_keys)
+        .map(|(&m, key)| {
+            resolve_candidate_outcome(
+                state,
+                job,
+                graph,
+                weights,
+                m,
+                key,
+                job_class.as_ref(),
+                job_bits,
+                cache,
+            )
+        })
+        .collect();
+    ClassedOutcomes { class_of, outcomes }
 }
 
 #[cfg(test)]
@@ -1077,11 +911,20 @@ mod tests {
     }
 
     #[test]
-    fn env_knob_parses_and_clamps() {
+    fn knob_parsing_ignores_case_and_whitespace() {
         assert!(EvalParams::sequential().is_sequential());
-        assert!(!EvalParams::parallel(1).is_sequential());
-        assert_eq!(EvalParams::parallel(1).threads, 2);
-        assert_eq!(EvalParams::parallel(8).threads, 8);
+        assert!(!EvalParams::engine().is_sequential());
+        for off in ["0", "off", "false", "OFF", "False", " off "] {
+            assert!(!parse_on_by_default(Some(off)), "{off:?} must turn the knob off");
+            assert_eq!(parse_cache(Some(off)), None, "{off:?} must disable the cache");
+        }
+        for on in ["1", "on", "TRUE", "", "banana"] {
+            assert!(parse_on_by_default(Some(on)), "{on:?} leaves the knob on");
+            assert_eq!(parse_cache(Some(on)), Some(DEFAULT_CACHE_CAPACITY), "{on:?}");
+        }
+        assert!(parse_on_by_default(None));
+        assert_eq!(parse_cache(None), Some(DEFAULT_CACHE_CAPACITY));
+        assert_eq!(parse_cache(Some(" 64 ")), Some(64));
     }
 
     #[test]
@@ -1097,11 +940,11 @@ mod tests {
         );
         let j = job(0, 2);
         let seq = outcomes(&s, &j, EvalParams::sequential());
-        let par = outcomes(&s, &j, EvalParams::parallel(4));
+        let eng = outcomes(&s, &j, EvalParams::engine());
         assert_eq!(seq.len(), 12);
-        assert_eq!(seq, par);
+        assert_eq!(seq, eng);
         // Bit-exact utilities, not just PartialEq-equal.
-        for (a, b) in seq.iter().zip(&par) {
+        for (a, b) in seq.iter().zip(&eng) {
             if let (
                 CandidateOutcome::Feasible { utility: ua, frag_after: fa, .. },
                 CandidateOutcome::Feasible { utility: ub, frag_after: fb, .. },
@@ -1169,14 +1012,14 @@ mod tests {
         let s = state(8);
         let j = job(0, 2);
         let cache = EvalCache::with_capacity(64);
-        let cold = outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
+        let cold = outcomes_cached(&s, &j, EvalParams::engine(), Some(&cache));
         let after_cold = cache.stats();
         assert_eq!(after_cold.hits, 0);
         assert!(after_cold.misses >= 1);
 
         // Same state + same job class (different id / min_utility) → hits.
         let j2 = job(99, 2).with_min_utility(0.9);
-        let warm = outcomes_cached(&s, &j2, EvalParams::parallel(2), Some(&cache));
+        let warm = outcomes_cached(&s, &j2, EvalParams::engine(), Some(&cache));
         let after_warm = cache.stats();
         assert_eq!(warm, cold);
         assert_eq!(after_warm.misses, after_cold.misses, "no new evaluations");
@@ -1192,9 +1035,9 @@ mod tests {
         let cache = EvalCache::with_capacity(64);
         let j = job(0, 2);
         // Prime, then compare warm-hit outcomes against the uncached engine.
-        outcomes_cached(&s, &j, EvalParams::parallel(4), Some(&cache));
-        let warm = outcomes_cached(&s, &j, EvalParams::parallel(4), Some(&cache));
-        let uncached = outcomes(&s, &j, EvalParams::parallel(4));
+        outcomes_cached(&s, &j, EvalParams::engine(), Some(&cache));
+        let warm = outcomes_cached(&s, &j, EvalParams::engine(), Some(&cache));
+        let uncached = outcomes(&s, &j, EvalParams::engine());
         for (a, b) in warm.iter().zip(&uncached) {
             match (a, b) {
                 (
@@ -1216,58 +1059,30 @@ mod tests {
         let cache = EvalCache::with_capacity(64);
         let j = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2)
             .with_comm_graph(JobGraph::pipeline(2, 4.0));
-        outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
-        outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
+        outcomes_cached(&s, &j, EvalParams::engine(), Some(&cache));
+        outcomes_cached(&s, &j, EvalParams::engine(), Some(&cache));
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 0, "graph jobs are not keyable");
     }
 
     #[test]
-    fn pool_returns_results_in_index_order() {
-        let out = run_indexed(257, 4, |i| i * 3);
-        assert_eq!(out.len(), 257);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
-        assert_eq!(run_indexed(1, 8, |i| i), vec![0]);
-        assert!(run_indexed(0, 4, |i: usize| i).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn worker_death_propagates_the_real_panic_not_a_closed_channel() {
-        // Every item panics, so the whole pool dies while the feeder still
-        // has work queued — exactly the shape that used to panic with
-        // "work queue open" on the feeding side, masking the worker's
-        // payload. The fix must surface the worker's own message.
-        run_indexed(64, 4, |_: usize| -> usize { panic!("worker boom") });
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn single_worker_death_among_healthy_ones_still_propagates() {
-        run_indexed(64, 4, |i| {
-            if i == 37 {
-                panic!("worker boom");
-            }
-            i
-        });
-    }
-
-    #[test]
     fn lru_evicts_and_counts() {
-        // Single-slot-per-shard cache: filling it with distinct job widths
-        // must evict. (8 shards × 1 entry; 9+ distinct keys guarantee at
-        // least one collision-driven eviction regardless of spread.)
+        // Single-entry cache: each of the 36 distinct job classes (one
+        // machine class on an idle cluster) misses and evicts its
+        // predecessor.
         let s = state(2);
         let cache = EvalCache::with_capacity(1);
         for width in 1..=4u32 {
             for model in [NnModel::AlexNet, NnModel::CaffeRef, NnModel::GoogLeNet] {
                 for batch in [BatchClass::Tiny, BatchClass::Small, BatchClass::Big] {
                     let j = JobSpec::new(width as u64, model, batch, width);
-                    outcomes_cached(&s, &j, EvalParams::parallel(2), Some(&cache));
+                    outcomes_cached(&s, &j, EvalParams::engine(), Some(&cache));
                 }
             }
         }
-        assert!(cache.stats().evictions >= 1, "capacity-1 shards must evict");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 36));
+        assert_eq!(stats.evictions, 35, "a capacity-1 LRU keeps only the last key");
     }
 
     #[test]
@@ -1284,7 +1099,6 @@ mod tests {
             &graph,
             weights,
             &candidates,
-            EvalParams::sequential(),
             None,
         );
         let stamps: Vec<u64> = candidates.iter().map(|&m| s.key_stamp(m)).collect();

@@ -15,9 +15,9 @@
 
 use crate::bound::ShardBoundCtx;
 use crate::eval::{
-    evaluate_topo_candidates, evaluate_topo_classes, resolve_candidate_outcome, run_indexed,
-    CandidateOutcome, ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow,
-    ShardClassed, ShardSlot, SnapState,
+    evaluate_topo_candidates, evaluate_topo_classes, resolve_candidate_outcome, CandidateOutcome,
+    ClassedOutcomes, EvalCache, EvalParams, JobClassKey, MemoRow, ShardClassed, ShardSlot,
+    SnapState,
 };
 use crate::oracle::{placement_components, placement_utility, StateOracle};
 use crate::shard::ShardIndex;
@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which placement strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -122,7 +122,9 @@ impl Policy {
 
     /// [`Policy::decide_with`] backed by a cross-event [`EvalCache`]: class
     /// evaluations already cached from earlier arrivals are replayed
-    /// instead of re-running DRB. Pass the scheduler-owned cache here on
+    /// instead of re-running DRB, and the two-level decision path (engaged
+    /// when the state holds more than one shard) keeps its shard memo and
+    /// decision snapshots in it. Pass the scheduler-owned cache here on
     /// every arrival; the sequential reference path ignores it.
     pub fn decide_with_cache(
         &self,
@@ -131,49 +133,15 @@ impl Policy {
         params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, cache.map(std::slice::from_ref))
+        self.decide_impl(state, job, None, params, cache)
     }
 
-    /// [`Policy::decide_with_cache`] with one cache per shard: the
-    /// two-level decision path (engaged when the state holds more than one
-    /// shard) looks shard `s` up in `caches[s % caches.len()]`, keeping
-    /// cache working sets shard-local. Cache keys are pure functions of
-    /// state, so the cache-to-shard assignment never changes the decision.
-    pub fn decide_with_caches(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        params: EvalParams,
-        caches: Option<&[EvalCache]>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, caches)
-    }
-
-    /// Like [`Policy::decide`], but records every candidate machine the
-    /// search touched — with its Eq. 2 utility breakdown — into `evals`.
-    /// The evaluations appear in search order; the winning candidate (if
-    /// any) is marked [`EvalOutcome::Chosen`].
-    pub fn decide_traced(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), EvalParams::from_env(), None)
-    }
-
-    /// [`Policy::decide_traced`] with explicit evaluation-engine parameters.
-    pub fn decide_traced_with(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-        params: EvalParams,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, None)
-    }
-
-    /// [`Policy::decide_traced_with`] backed by a cross-event [`EvalCache`].
+    /// [`Policy::decide_with_cache`] that also records every candidate
+    /// machine the search touched — with its Eq. 2 utility breakdown —
+    /// into `evals`. The evaluations appear in search order; the winning
+    /// candidate (if any) is marked [`EvalOutcome::Chosen`]. Tracing always
+    /// takes the flat path (per-candidate records need per-candidate
+    /// components).
     pub fn decide_traced_with_cache(
         &self,
         state: &ClusterState,
@@ -182,21 +150,7 @@ impl Policy {
         params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, cache.map(std::slice::from_ref))
-    }
-
-    /// [`Policy::decide_with_caches`] recording per-candidate evaluations.
-    /// Tracing always takes the flat reference path (per-candidate records
-    /// need per-candidate components), so only `caches[0]` is consulted.
-    pub fn decide_traced_with_caches(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-        params: EvalParams,
-        caches: Option<&[EvalCache]>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, caches)
+        self.decide_impl(state, job, Some(evals), params, cache)
     }
 
     fn record_eval(
@@ -239,7 +193,7 @@ impl Policy {
         job: &JobSpec,
         mut trace: Option<&mut Vec<CandidateEval>>,
         params: EvalParams,
-        caches: Option<&[EvalCache]>,
+        cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         if job.constraints.anti_collocate && job.n_gpus > 1 {
             let decision = self.decide_anti_collocated(state, job);
@@ -268,7 +222,7 @@ impl Policy {
             && !params.is_sequential()
             && state.shards().n_shards() > 1
         {
-            return self.decide_topo_sharded(state, job, params, caches);
+            return self.decide_topo_sharded(state, job, params, cache);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -347,7 +301,7 @@ impl Policy {
                     self.weights,
                     &candidates,
                     params,
-                    caches.and_then(|cs| cs.first()),
+                    cache,
                 );
                 let mut feasible: Vec<(Decision, f64, usize)> = Vec::new();
                 for (&machine, outcome) in candidates.iter().zip(outcomes) {
@@ -410,15 +364,11 @@ impl Policy {
     /// 3. **Bound pruning** (`GTS_SHARD_BOUND`) — the remaining memo-miss
     ///    shards are sorted by descending admissible utility bound
     ///    ([`ShardBoundCtx`]); any shard whose bound proves it cannot enter
-    ///    the selection window is skipped outright. Exact, not heuristic:
-    ///    see [`bound_prunes`] and DESIGN.md §11 (debug builds
+    ///    the selection window is skipped outright, and every evaluated
+    ///    shard raises the floor for the ones still queued. Exact, not
+    ///    heuristic: see [`bound_prunes`] and DESIGN.md §11 (debug builds
     ///    shadow-evaluate every pruned shard and assert the bound held);
-    /// 4. **Fan-out** (`GTS_SHARD_PAR`) — surviving miss shards are
-    ///    evaluated as *one* batch across the worker pool, one task per
-    ///    shard, results written into index slots keyed by admitted-shard
-    ///    position. Memo puts happen after the join, on the caller's
-    ///    thread, in deterministic order;
-    /// 5. **Selection** — the reference `select_candidate` scan streams
+    /// 4. **Selection** — the reference `select_candidate` scan streams
     ///    over the class outcomes in ascending shard order (contiguous
     ///    ascending ranges concatenate to the flat candidate order), with
     ///    whole entries skipped when even their `u_max` fails the window —
@@ -431,7 +381,7 @@ impl Policy {
         state: &ClusterState,
         job: &JobSpec,
         params: EvalParams,
-        caches: Option<&[EvalCache]>,
+        cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         let n = job.n_gpus as usize;
         let shards = state.shards();
@@ -445,8 +395,8 @@ impl Policy {
         // whose version stamps moved since the last decision for this job
         // class; `None` falls through to the full path below.
         if params.decision_replay {
-            if let (Some(cs), Some(k)) = (caches, job_key.as_ref()) {
-                if let Some(replayed) = self.try_replay(state, job, &graph, n, params, cs, k) {
+            if let (Some(c), Some(k)) = (cache, job_key.as_ref()) {
+                if let Some(replayed) = self.try_replay(state, job, &graph, n, params, c, k) {
                     return replayed;
                 }
             }
@@ -481,8 +431,8 @@ impl Policy {
             // One memo lock and one row probe for the whole decision; each
             // admitted shard then costs a plain indexed `(epoch, version)`
             // compare against its slot.
-            if let (Some(cs), Some(k)) = (caches, job_key.as_ref()) {
-                cs[0].with_memo_row(k, shards.n_shards(), |row| {
+            if let (Some(c), Some(k)) = (cache, job_key.as_ref()) {
+                c.with_memo_row(k, shards.n_shards(), |row| {
                     for (i, &s) in admitted.iter().enumerate() {
                         let slot = &row.slots[s];
                         match &slot.value {
@@ -505,84 +455,30 @@ impl Policy {
                 misses.extend(0..admitted.len());
             }
 
-            // Level 2b: bound-prune and evaluate the misses. `fresh`
-            // collects `(admitted index, entry)` so memo puts and slot
-            // assignment stay on the caller's thread in deterministic
-            // order regardless of how the evaluations ran.
-            let use_par = params.shard_par && params.threads > 1;
-            let mut fresh: Vec<(usize, Arc<ShardClassed>)> = Vec::with_capacity(misses.len());
-            let mut pruned: Vec<(usize, f64)> = Vec::new();
-            if !misses.is_empty() {
-                if params.shard_bound {
-                    let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
-                    let mut bounded: Vec<(usize, f64)> = misses
-                        .iter()
-                        .map(|&i| (i, ctx.shard_bound(shards, admitted[i])))
-                        .collect();
-                    // Best bound first so the serial loop tightens its
-                    // floor as early as possible; ties break on ascending
-                    // shard position to stay deterministic.
-                    bounded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    if use_par {
-                        // The floor is static across the batch (the memo
-                        // replays), so pruning partitions up front and the
-                        // survivors fan out together.
-                        let (survivors, cut): (Vec<_>, Vec<_>) = bounded
-                            .into_iter()
-                            .partition(|&(_, b)| !bound_prunes(b, u_floor, job.min_utility));
-                        pruned = cut;
-                        fresh = eval_shard_batch(
-                            state, job, &graph, self.weights, shards, admitted, &survivors,
-                            n, params, caches, job_key.as_ref(), &stale,
-                        );
-                    } else {
-                        // Serial branch-and-bound: every evaluated shard
-                        // raises the floor for the ones still queued.
-                        let mut u_so_far = u_floor;
-                        for (i, bound) in bounded {
-                            if bound_prunes(bound, u_so_far, job.min_utility) {
-                                pruned.push((i, bound));
-                                continue;
-                            }
-                            let s = admitted[i];
-                            let entry = eval_or_repair(
-                                state, job, &graph, self.weights, shards, s, n, params,
-                                caches.map(|cs| &cs[s % cs.len()]),
-                                job_key.as_ref(),
-                                stale[i].as_ref(),
-                            );
-                            u_so_far = u_so_far.max(entry.u_max);
-                            fresh.push((i, entry));
-                        }
-                    }
-                    shards.note_bound(misses.len() as u64, pruned.len() as u64);
-                } else if use_par {
-                    let all: Vec<(usize, f64)> = misses.iter().map(|&i| (i, 0.0)).collect();
-                    fresh = eval_shard_batch(
-                        state, job, &graph, self.weights, shards, admitted, &all, n, params,
-                        caches, job_key.as_ref(), &stale,
-                    );
-                } else {
-                    // The PR 6 serial reference loop, ascending shards.
-                    for &i in &misses {
-                        let s = admitted[i];
-                        let entry = eval_or_repair(
-                            state, job, &graph, self.weights, shards, s, n, params,
-                            caches.map(|cs| &cs[s % cs.len()]),
-                            job_key.as_ref(),
-                            stale[i].as_ref(),
-                        );
-                        fresh.push((i, entry));
-                    }
-                }
-            }
+            // Level 2b: bound-prune and evaluate the misses, keyed by
+            // admitted index for the memo puts below.
+            let (fresh, pruned) = self.eval_misses(
+                state,
+                job,
+                params,
+                &misses,
+                |i| admitted[i],
+                u_floor,
+                |i| {
+                    eval_or_repair(
+                        state, job, &graph, self.weights, shards, admitted[i], n, cache,
+                        job_key.as_ref(),
+                        stale[i].as_ref(),
+                    )
+                },
+            );
 
             // Publish the fresh entries and run the fold + selection scan
             // in one lock scope, reading replayed hits in place — ascending
             // shard order throughout, exactly the flat scan's visit order.
             let mut retired: Vec<Arc<ShardClassed>> = Vec::with_capacity(fresh.len());
-            let decision = if let (Some(cs), Some(k)) = (caches, job_key.as_ref()) {
-                cs[0].with_memo_row(k, shards.n_shards(), |row| {
+            let decision = if let (Some(c), Some(k)) = (cache, job_key.as_ref()) {
+                c.with_memo_row(k, shards.n_shards(), |row| {
                     for (i, entry) in &fresh {
                         let s = admitted[*i];
                         let prev = std::mem::replace(
@@ -604,7 +500,7 @@ impl Policy {
                             let entry =
                                 row.slots[s].value.as_deref().expect("hit slots hold entries");
                             debug_assert_shard_memo_matches(
-                                state, job, &graph, self.weights, s, n, params, entry,
+                                state, job, &graph, self.weights, s, n, entry,
                             );
                         }
                     }
@@ -617,9 +513,7 @@ impl Policy {
                                 row.slots[s].value.as_deref().expect("hit slots hold entries")
                             })
                             .collect();
-                        self.finish_sharded(
-                            state, job, &graph, n, params, admitted, &entries, &pruned,
-                        )
+                        self.finish_sharded(state, job, &graph, n, admitted, &entries, &pruned)
                     };
                     // Snapshot the whole decision for the replay path: how
                     // every shard resolved, under which version vector, and
@@ -649,7 +543,7 @@ impl Policy {
                 }
                 let entries: Vec<&ShardClassed> =
                     by_i.iter().filter_map(|e| e.map(Arc::as_ref)).collect();
-                self.finish_sharded(state, job, &graph, n, params, admitted, &entries, &pruned)
+                self.finish_sharded(state, job, &graph, n, admitted, &entries, &pruned)
             };
             // Reclaim the retired entries' buffers for the next decision's
             // repairs. `stale` held the repairs' borrows of these — with it
@@ -710,7 +604,7 @@ impl Policy {
         graph: &JobGraph,
         n: usize,
         params: EvalParams,
-        caches: &[EvalCache],
+        cache: &EvalCache,
         job_key: &JobClassKey,
     ) -> Option<Option<Decision>> {
         let shards = state.shards();
@@ -737,7 +631,7 @@ impl Policy {
 
         // Phase A (one lock): diff the live version vector against the
         // snapshot and classify every shard.
-        let probe = caches[0].with_memo_row(job_key, shards.n_shards(), |row| {
+        let probe = cache.with_memo_row(job_key, shards.n_shards(), |row| {
             let Some(snap) = row.snap.as_ref() else {
                 return Probe::Miss;
             };
@@ -790,11 +684,11 @@ impl Policy {
         let (mut mutated, kept, pruned_snap, mut u_floor) = match probe {
             Probe::Miss => return None,
             Probe::Fallback => {
-                caches[0].note_replay_fallback();
+                cache.note_replay_fallback();
                 return None;
             }
             Probe::Full(stored) => {
-                caches[0].note_replay_hit();
+                cache.note_replay_hit();
                 let decision =
                     stored.map(|(gpus, utility)| Decision { gpus, utility });
                 #[cfg(debug_assertions)]
@@ -809,107 +703,60 @@ impl Policy {
         // Phase B (no lock): re-run admission for the mutated shards only
         // (an unmutated shard's aggregates are pinned by its version, so
         // its snapshot admission outcome is still live), then evaluate the
-        // survivors through the full path's bound/repair/fan-out machinery.
+        // survivors through the full path's bound/repair machinery.
         let total_mutated = mutated.len() as u64;
         mutated.retain(|&(s, _)| shards.has_capacity(s, n));
         shards.note_admission(total_mutated, total_mutated - mutated.len() as u64);
         let (admitted_m, stale_m): (Vec<usize>, Vec<Option<Arc<ShardClassed>>>) =
             mutated.into_iter().unzip();
 
-        let use_par = params.shard_par && params.threads > 1;
         // Fresh evaluations keyed by *shard id* (not admitted position).
-        let mut fresh: Vec<(usize, Arc<ShardClassed>)> = Vec::with_capacity(admitted_m.len());
-        let mut cut: Vec<(usize, f64)> = Vec::new();
-        if !admitted_m.is_empty() {
-            if params.shard_bound {
-                let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
-                let mut bounded: Vec<(usize, f64)> = (0..admitted_m.len())
-                    .map(|i| (i, ctx.shard_bound(shards, admitted_m[i])))
-                    .collect();
-                bounded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                if use_par {
-                    let (survivors, dropped): (Vec<_>, Vec<_>) = bounded
-                        .into_iter()
-                        .partition(|&(_, b)| !bound_prunes(b, u_floor, job.min_utility));
-                    cut = dropped.into_iter().map(|(i, b)| (admitted_m[i], b)).collect();
-                    fresh = eval_shard_batch(
-                        state, job, graph, self.weights, shards, &admitted_m, &survivors,
-                        n, params, Some(caches), Some(job_key), &stale_m,
-                    )
-                    .into_iter()
-                    .map(|(i, e)| (admitted_m[i], e))
-                    .collect();
-                    for (_, e) in &fresh {
-                        u_floor = u_floor.max(e.u_max);
-                    }
-                } else {
-                    for (i, bound) in bounded {
-                        if bound_prunes(bound, u_floor, job.min_utility) {
-                            cut.push((admitted_m[i], bound));
-                            continue;
-                        }
-                        let s = admitted_m[i];
-                        let entry = eval_or_repair(
-                            state, job, graph, self.weights, shards, s, n, params,
-                            Some(&caches[s % caches.len()]),
-                            Some(job_key),
-                            stale_m[i].as_ref(),
-                        );
-                        u_floor = u_floor.max(entry.u_max);
-                        fresh.push((s, entry));
-                    }
-                }
-                shards.note_bound(admitted_m.len() as u64, cut.len() as u64);
-            } else if use_par {
-                let all: Vec<(usize, f64)> =
-                    (0..admitted_m.len()).map(|i| (i, 0.0)).collect();
-                fresh = eval_shard_batch(
-                    state, job, graph, self.weights, shards, &admitted_m, &all, n, params,
-                    Some(caches), Some(job_key), &stale_m,
+        // A mutated shard the bound cuts is pruned exactly as on the full
+        // path, so the snapshot records it as pruned (and a later replay
+        // re-tests it against its floor) rather than as never admitted.
+        let positions: Vec<usize> = (0..admitted_m.len()).collect();
+        let (fresh_m, cut) = self.eval_misses(
+            state,
+            job,
+            params,
+            &positions,
+            |i| admitted_m[i],
+            u_floor,
+            |i| {
+                eval_or_repair(
+                    state, job, graph, self.weights, shards, admitted_m[i], n, Some(cache),
+                    Some(job_key),
+                    stale_m[i].as_ref(),
                 )
-                .into_iter()
-                .map(|(i, e)| (admitted_m[i], e))
-                .collect();
-                for (_, e) in &fresh {
-                    u_floor = u_floor.max(e.u_max);
-                }
-            } else {
-                for (i, &s) in admitted_m.iter().enumerate() {
-                    let entry = eval_or_repair(
-                        state, job, graph, self.weights, shards, s, n, params,
-                        Some(&caches[s % caches.len()]),
-                        Some(job_key),
-                        stale_m[i].as_ref(),
-                    );
-                    u_floor = u_floor.max(entry.u_max);
-                    fresh.push((s, entry));
-                }
-            }
-        }
+            },
+        );
+        let mut fresh: Vec<(usize, Arc<ShardClassed>)> =
+            fresh_m.into_iter().map(|(i, e)| (admitted_m[i], e)).collect();
+        let mut still_pruned: Vec<(usize, f64)> =
+            cut.into_iter().map(|(i, b)| (admitted_m[i], b)).collect();
+        u_floor = fresh.iter().fold(u_floor, |u, (_, e)| u.max(e.u_max));
 
         // Re-test the snapshot-pruned shards against the current floor.
         // One pass is exact: [`bound_prunes`] is monotone in the floor and
         // the floor only rises from here, so a shard pruned now stays
         // prunable at the final floor; one that fails re-evaluates (and
         // may itself raise the floor — harmless, see above).
-        let mut still_pruned: Vec<(usize, f64)> = Vec::with_capacity(pruned_snap.len());
         for (s, bound, seed) in pruned_snap {
             if params.shard_bound && bound_prunes(bound, u_floor, job.min_utility) {
                 still_pruned.push((s, bound));
                 continue;
             }
             let entry = eval_or_repair(
-                state, job, graph, self.weights, shards, s, n, params,
-                Some(&caches[s % caches.len()]),
-                Some(job_key),
+                state, job, graph, self.weights, shards, s, n, Some(cache), Some(job_key),
                 seed.as_ref(),
             );
             u_floor = u_floor.max(entry.u_max);
             fresh.push((s, entry));
         }
+        still_pruned.sort_unstable_by_key(|&(s, _)| s);
 
-        caches[0].note_replay_hit();
-        caches[0].note_replay_reeval(fresh.len() as u64);
+        cache.note_replay_hit();
+        cache.note_replay_reeval(fresh.len() as u64);
         drop(stale_m);
 
         // Phase C (one lock): publish the fresh entries, reassemble the
@@ -917,7 +764,7 @@ impl Policy {
         // selection tail, and refresh the snapshot in place.
         fresh.sort_unstable_by_key(|&(s, _)| s);
         let mut retired: Vec<Arc<ShardClassed>> = Vec::with_capacity(fresh.len());
-        let decision = caches[0].with_memo_row(job_key, shards.n_shards(), |row| {
+        let decision = cache.with_memo_row(job_key, shards.n_shards(), |row| {
             for (s, entry) in &fresh {
                 let prev = std::mem::replace(
                     &mut row.slots[*s],
@@ -952,16 +799,13 @@ impl Policy {
             #[cfg(debug_assertions)]
             for &s in &used {
                 let entry = row.slots[s].value.as_deref().expect("used slots hold entries");
-                debug_assert_shard_memo_matches(
-                    state, job, graph, self.weights, s, n, params, entry,
-                );
+                debug_assert_shard_memo_matches(state, job, graph, self.weights, s, n, entry);
             }
             // `finish_sharded` wants the admitted-shard list (used ∪
             // pruned, ascending) with pruned as positions into it — the
             // same shape the full path hands it. `still_pruned` ascends
-            // (Phase A pushed shards in order and the re-test preserved
-            // it) and is disjoint from `used`, so one merge pass builds
-            // both the list and the pruned positions.
+            // (sorted after Phase B) and is disjoint from `used`, so one
+            // merge pass builds both the list and the pruned positions.
             let mut admitted: Vec<usize> = Vec::with_capacity(used.len() + still_pruned.len());
             let mut pruned_ix: Vec<(usize, f64)> = Vec::with_capacity(still_pruned.len());
             {
@@ -984,9 +828,7 @@ impl Policy {
                     .iter()
                     .map(|&s| row.slots[s].value.as_deref().expect("used slots hold entries"))
                     .collect();
-                self.finish_sharded(
-                    state, job, graph, n, params, &admitted, &entries, &pruned_ix,
-                )
+                self.finish_sharded(state, job, graph, n, &admitted, &entries, &pruned_ix)
             };
             store_decision_snap(
                 row,
@@ -1061,7 +903,6 @@ impl Policy {
         job: &JobSpec,
         graph: &JobGraph,
         n: usize,
-        params: EvalParams,
         admitted: &[usize],
         entries: &[&ShardClassed],
         pruned: &[(usize, f64)],
@@ -1100,7 +941,7 @@ impl Policy {
         #[cfg(debug_assertions)]
         for &(i, bound) in pruned {
             let s = admitted[i];
-            let shard_u_max = fresh_shard_u_max(state, job, graph, self.weights, s, n, params);
+            let shard_u_max = fresh_shard_u_max(state, job, graph, self.weights, s, n);
             assert!(
                 shard_u_max <= bound,
                 "shard {s} bound {bound} below its true u_max {shard_u_max}"
@@ -1149,6 +990,56 @@ impl Policy {
             gpus: on_machine(machine, gpus),
             utility,
         })
+    }
+
+    /// Evaluates memo-miss shards on the caller's thread. With bound
+    /// pruning on (`GTS_SHARD_BOUND`) they run best admissible bound first
+    /// ([`ShardBoundCtx`]; ties on ascending key), each evaluated shard
+    /// raises the floor (starting from `u_floor`) for the ones still
+    /// queued, and a shard whose bound proves it cannot enter the
+    /// selection window ([`bound_prunes`]) is skipped and returned with its
+    /// bound instead. With it off they run in key order.
+    ///
+    /// `keys` ascend with shard id; `shard_of` maps a key to its shard and
+    /// `eval` evaluates (or repairs) it. Returns `(evaluated, pruned)`,
+    /// both keyed like the input.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn eval_misses(
+        &self,
+        state: &ClusterState,
+        job: &JobSpec,
+        params: EvalParams,
+        keys: &[usize],
+        shard_of: impl Fn(usize) -> usize,
+        u_floor: f64,
+        mut eval: impl FnMut(usize) -> Arc<ShardClassed>,
+    ) -> (Vec<(usize, Arc<ShardClassed>)>, Vec<(usize, f64)>) {
+        let shards = state.shards();
+        let mut fresh = Vec::with_capacity(keys.len());
+        let mut pruned = Vec::new();
+        if !params.shard_bound {
+            fresh.extend(keys.iter().map(|&k| (k, eval(k))));
+            return (fresh, pruned);
+        }
+        if keys.is_empty() {
+            return (fresh, pruned);
+        }
+        let ctx = cached_bound_ctx(state, job, self.weights, shards.epoch());
+        let mut bounded: Vec<(usize, f64)> =
+            keys.iter().map(|&k| (k, ctx.shard_bound(shards, shard_of(k)))).collect();
+        bounded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut u_so_far = u_floor;
+        for (k, bound) in bounded {
+            if bound_prunes(bound, u_so_far, job.min_utility) {
+                pruned.push((k, bound));
+                continue;
+            }
+            let entry = eval(k);
+            u_so_far = u_so_far.max(entry.u_max);
+            fresh.push((k, entry));
+        }
+        shards.note_bound(keys.len() as u64, pruned.len() as u64);
+        (fresh, pruned)
     }
 
     /// Spills a multi-node-capable job across machines when no single
@@ -1252,11 +1143,6 @@ impl Policy {
 /// model is only a few percent accurate against the Fig. 6 measurements, so
 /// preferring a machine for a sub-percent utility edge is noise-chasing.
 const FRAG_TIE_EPS: f64 = 0.01;
-
-/// Below this many memo-miss shards the per-batch thread spawn costs more
-/// than the shard evaluations; the batch stays on the caller's thread
-/// (results are identical either way — this is purely a latency heuristic).
-const MIN_PARALLEL_SHARDS: usize = 4;
 
 thread_local! {
     /// Reusable per-decision admitted-shard list (hoisted allocation — the
@@ -1395,21 +1281,6 @@ fn cached_bound_ctx(
     })
 }
 
-/// Whether the batch fan-out can pay at all: the scoped pool spawns OS
-/// threads per batch, which only buys wall time when the host has more
-/// than one core (the `threads ≥ 2` engine floor exists for memoization,
-/// not parallelism). Debug builds always engage, so the bit-identity
-/// property suite exercises the batch path on any host.
-fn fan_out_pays() -> bool {
-    if cfg!(debug_assertions) {
-        return true;
-    }
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }) > 1
-}
-
 /// The per-shard contender window: indices of the feasible candidates
 /// whose utility survives the floor test at the *tightest* floor the shard
 /// can ever face (`u_max − FRAG_TIE_EPS`, its own maximum), with
@@ -1461,14 +1332,13 @@ fn evaluate_shard(
     shards: &ShardIndex,
     s: usize,
     n: usize,
-    params: EvalParams,
     cache: Option<&EvalCache>,
 ) -> Arc<ShardClassed> {
     CANDIDATE_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         buf.clear();
         buf.extend(shards.machines(s).iter().copied().filter(|&m| state.free_count(m) >= n));
-        let classed = evaluate_topo_classes(state, job, graph, weights, &buf, params, cache);
+        let classed = evaluate_topo_classes(state, job, graph, weights, &buf, cache);
         let stamps: Vec<u64> = buf.iter().map(|&m| state.key_stamp(m)).collect();
         let mut u_max = f64::NEG_INFINITY;
         for &c in &classed.class_of {
@@ -1683,7 +1553,6 @@ fn eval_or_repair(
     shards: &ShardIndex,
     s: usize,
     n: usize,
-    params: EvalParams,
     cache: Option<&EvalCache>,
     job_key: Option<&JobClassKey>,
     stale: Option<&Arc<ShardClassed>>,
@@ -1692,73 +1561,7 @@ fn eval_or_repair(
         Some(old) => {
             repair_shard(state, job, graph, weights, shards, s, n, cache, job_key, old)
         }
-        None => evaluate_shard(state, job, graph, weights, shards, s, n, params, cache),
-    }
-}
-
-/// Evaluates the surviving memo-miss shards as one batch: one task per
-/// shard across the worker pool (each task evaluates its shard's classes on
-/// its own thread — `threads: 1` inside — so the pool is fed `|shards|`
-/// coarse tasks instead of being entered once per shard). Results come back
-/// in input order via the index-slot reduction in [`run_indexed`]; the
-/// caller re-establishes ascending shard order, so the fan-out is invisible
-/// to the selection scan. Small batches stay on the caller's thread.
-#[allow(clippy::too_many_arguments)]
-fn eval_shard_batch(
-    state: &ClusterState,
-    job: &JobSpec,
-    graph: &JobGraph,
-    weights: UtilityWeights,
-    shards: &ShardIndex,
-    admitted: &[usize],
-    survivors: &[(usize, f64)],
-    n: usize,
-    params: EvalParams,
-    caches: Option<&[EvalCache]>,
-    job_key: Option<&JobClassKey>,
-    stale: &[Option<Arc<ShardClassed>>],
-) -> Vec<(usize, Arc<ShardClassed>)> {
-    if survivors.len() >= MIN_PARALLEL_SHARDS && fan_out_pays() {
-        let inner = EvalParams { threads: 1, ..params };
-        let results = run_indexed(survivors.len(), params.threads, |k| {
-            let i = survivors[k].0;
-            let s = admitted[i];
-            eval_or_repair(
-                state,
-                job,
-                graph,
-                weights,
-                shards,
-                s,
-                n,
-                inner,
-                caches.map(|cs| &cs[s % cs.len()]),
-                job_key,
-                stale[i].as_ref(),
-            )
-        });
-        survivors.iter().map(|&(i, _)| i).zip(results).collect()
-    } else {
-        survivors
-            .iter()
-            .map(|&(i, _)| {
-                let s = admitted[i];
-                let entry = eval_or_repair(
-                    state,
-                    job,
-                    graph,
-                    weights,
-                    shards,
-                    s,
-                    n,
-                    params,
-                    caches.map(|cs| &cs[s % cs.len()]),
-                    job_key,
-                    stale[i].as_ref(),
-                );
-                (i, entry)
-            })
-            .collect()
+        None => evaluate_shard(state, job, graph, weights, shards, s, n, cache),
     }
 }
 
@@ -1772,7 +1575,6 @@ fn fresh_shard_u_max(
     weights: UtilityWeights,
     shard: usize,
     n: usize,
-    params: EvalParams,
 ) -> f64 {
     let candidates: Vec<MachineId> = state
         .shards()
@@ -1781,7 +1583,7 @@ fn fresh_shard_u_max(
         .copied()
         .filter(|&m| state.free_count(m) >= n)
         .collect();
-    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, params, None);
+    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, None);
     let mut u_max = f64::NEG_INFINITY;
     for &c in &fresh.class_of {
         if let CandidateOutcome::Feasible { utility, .. } = fresh.outcomes[c] {
@@ -1814,7 +1616,6 @@ fn debug_assert_shard_memo_matches(
     weights: UtilityWeights,
     shard: usize,
     n: usize,
-    params: EvalParams,
     entry: &ShardClassed,
 ) {
     let candidates: Vec<MachineId> = state
@@ -1824,7 +1625,7 @@ fn debug_assert_shard_memo_matches(
         .copied()
         .filter(|&m| state.free_count(m) >= n)
         .collect();
-    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, params, None);
+    let fresh = evaluate_topo_classes(state, job, graph, weights, &candidates, None);
     assert_eq!(entry.candidates, candidates, "shard {shard} memo: stale candidate set");
     for (i, &m) in candidates.iter().enumerate() {
         assert_eq!(

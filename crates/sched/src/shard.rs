@@ -40,7 +40,7 @@ impl ShardSpec {
     /// Reads `GTS_SHARDS` (cached after the first read): unset, `auto` or
     /// `rack` select rack-aligned sharding; `0`/`off`/`false`/`1` select
     /// the single-shard reference; any other positive integer selects that
-    /// many contiguous chunks.
+    /// many contiguous chunks. Words match in any case.
     pub fn from_env() -> Self {
         static CACHED: OnceLock<ShardSpec> = OnceLock::new();
         *CACHED.get_or_init(|| match std::env::var("GTS_SHARDS") {
@@ -50,7 +50,7 @@ impl ShardSpec {
     }
 
     fn parse(raw: &str) -> Self {
-        match raw.trim() {
+        match raw.trim().to_ascii_lowercase().as_str() {
             "" | "auto" | "rack" => ShardSpec::Auto,
             "0" | "off" | "false" | "1" => ShardSpec::Count(1),
             other => match other.parse::<usize>() {
@@ -584,6 +584,10 @@ mod tests {
         assert_eq!(ShardSpec::parse("1"), ShardSpec::Count(1));
         assert_eq!(ShardSpec::parse(" 4 "), ShardSpec::Count(4));
         assert_eq!(ShardSpec::parse("banana"), ShardSpec::Auto);
+        for off in ["OFF", "False", " off "] {
+            assert_eq!(ShardSpec::parse(off), ShardSpec::Count(1), "{off:?}");
+        }
+        assert_eq!(ShardSpec::parse("Rack"), ShardSpec::Auto);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn run_script(
     let n_machines = state.cluster().machines().count();
     let config = SchedulerConfig {
         policy: Policy::new(PolicyKind::TopoAware),
-        eval: EvalParams::parallel(2).with_decision_replay(replay),
+        eval: EvalParams::engine().with_decision_replay(replay),
         eval_cache: true,
     };
     let mut sched = Scheduler::new(state, config);
@@ -247,4 +247,22 @@ fn multi_node_teardown_bumps_several_shards_between_retries() {
         stats.shards_reeval > 0,
         "mutated shards must be re-evaluated, not trusted: {stats:?}"
     );
+}
+
+/// A partial replay whose bound cuts a mutated shard must remember the
+/// shard as *pruned*, not as never admitted: once the idle racks are used
+/// up the floor drops, and a later replay has to re-test the cut shard.
+/// Scenario: one-machine racks and a strict SLO, so every placement turns
+/// its rack's bound below the `min_utility` gate while idle racks remain,
+/// and the last arrivals must still see every occupied rack.
+#[test]
+fn bound_cut_mutated_shards_are_retested_later() {
+    let state = racked_state(3, 1);
+    let mut script = Vec::new();
+    for id in 0..6u64 {
+        script.push(Ev::Submit(job(id, 1).with_min_utility(0.999)));
+        script.push(Ev::Drain);
+    }
+    let stats = assert_replay_invariant(state, &script);
+    assert!(stats.hits > 0, "same-class arrivals never replayed: {stats:?}");
 }

@@ -59,7 +59,7 @@ fn job_classes() -> Vec<JobSpec> {
 fn lru_eviction_then_recompute_is_bit_identical() {
     let state = occupied_state();
     let policy = Policy::new(PolicyKind::TopoAware);
-    let params = EvalParams::parallel(2);
+    let params = EvalParams::engine();
     let tiny = EvalCache::with_capacity(1);
     let jobs = job_classes();
 
@@ -108,7 +108,7 @@ fn lru_eviction_then_recompute_is_bit_identical() {
 fn warm_cache_serves_hits_without_drift() {
     let state = occupied_state();
     let policy = Policy::new(PolicyKind::TopoAwareP);
-    let params = EvalParams::parallel(2);
+    let params = EvalParams::engine();
     let cache = EvalCache::with_capacity(4096);
     let jobs = job_classes();
 

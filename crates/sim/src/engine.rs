@@ -1451,7 +1451,7 @@ mod tests {
                 Arc::clone(&c),
                 Arc::clone(&p),
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2))
+                    .with_eval(EvalParams::engine())
                     .with_trace()
                     .with_eval_cache(cached),
             )
@@ -1558,7 +1558,7 @@ mod tests {
                 cluster,
                 profiles,
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2))
+                    .with_eval(EvalParams::engine())
                     .with_shards(shards),
             )
             .run_with_stats(trace)
@@ -1580,11 +1580,10 @@ mod tests {
     /// unpruned path. Scenario: 2 machines / 2 shards; job 0 occupies
     /// machine 0, so job 1 (min_utility just under 1) sees shard 1 as a
     /// memo hit at utility 1.0 (the floor) while shard 0's occupied-machine
-    /// bound falls below the gate — an exact prune in both serial and
-    /// parallel fan-out modes.
+    /// bound falls below the gate — an exact prune.
     #[test]
     fn shard_bound_counters_surface_in_stats() {
-        let run = |par: bool, bound: bool| {
+        let run = |bound: bool| {
             let machine = power8_minsky();
             let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
@@ -1602,25 +1601,21 @@ mod tests {
                 cluster,
                 profiles,
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(
-                        EvalParams::parallel(2).with_shard_par(par).with_shard_bound(bound),
-                    )
+                    .with_eval(EvalParams::engine().with_shard_bound(bound))
                     .with_eval_cache(true)
                     .with_shards(2),
             )
             .run_with_stats(trace)
         };
-        let (base_res, base) = run(false, false);
+        let (base_res, base) = run(false);
         assert_eq!(base.shard_bound_checked, 0);
         assert_eq!(base.shard_bound_pruned, 0);
-        for par in [false, true] {
-            let (res, stats) = run(par, true);
-            assert!(stats.shard_bound_checked > 0, "par={par}: no shard was bound-checked");
-            assert!(stats.shard_bound_pruned > 0, "par={par}: gate-arm scenario never pruned");
-            assert_eq!(res.records, base_res.records, "par={par}");
-            assert_eq!(res.events, base_res.events, "par={par}");
-            assert_eq!(res.makespan_s.to_bits(), base_res.makespan_s.to_bits(), "par={par}");
-        }
+        let (res, stats) = run(true);
+        assert!(stats.shard_bound_checked > 0, "no shard was bound-checked");
+        assert!(stats.shard_bound_pruned > 0, "gate-arm scenario never pruned");
+        assert_eq!(res.records, base_res.records);
+        assert_eq!(res.events, base_res.events);
+        assert_eq!(res.makespan_s.to_bits(), base_res.makespan_s.to_bits());
     }
 
     /// Cross-event decision replay must surface its counters through
@@ -1648,7 +1643,7 @@ mod tests {
                 cluster,
                 profiles,
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::parallel(2).with_decision_replay(replay))
+                    .with_eval(EvalParams::engine().with_decision_replay(replay))
                     .with_eval_cache(true)
                     .with_shards(2)
                     .with_phase_timing(phase_timing),

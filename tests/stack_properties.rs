@@ -130,7 +130,7 @@ fn simulate_with_eval(
     Simulation::new(cluster, profiles, config).run(trace)
 }
 
-/// The memoized+parallel evaluation engine must be bit-identical to the
+/// The memoized evaluation engine must be bit-identical to the
 /// sequential reference: same placements, same trace events, same metrics,
 /// for every policy across many seeds, including machine-failure runs.
 /// (`mean_decision_s` is wall-clock and legitimately differs.)
@@ -140,24 +140,9 @@ fn evaluation_engine_is_bit_identical_to_sequential_reference() {
         for seed in 0..8u64 {
             let n_machines = 2 + (seed as usize % 3);
             let seq = simulate_with_eval(seed, n_machines, kind, EvalParams::sequential());
-            let par = simulate_with_eval(seed, n_machines, kind, EvalParams::parallel(4));
+            let eng = simulate_with_eval(seed, n_machines, kind, EvalParams::engine());
             let ctx = format!("{kind:?} seed {seed} ({n_machines} machines)");
-            assert_eq!(seq.policy, par.policy, "{ctx}: policy");
-            assert_eq!(seq.records, par.records, "{ctx}: records");
-            assert_eq!(seq.unplaceable, par.unplaceable, "{ctx}: unplaceable");
-            assert_eq!(seq.timeline, par.timeline, "{ctx}: timeline");
-            assert_eq!(seq.utility_series, par.utility_series, "{ctx}: utility series");
-            assert_eq!(
-                seq.makespan_s.to_bits(),
-                par.makespan_s.to_bits(),
-                "{ctx}: makespan {} vs {}",
-                seq.makespan_s,
-                par.makespan_s
-            );
-            assert_eq!(seq.slo_violations, par.slo_violations, "{ctx}: SLO violations");
-            assert_eq!(seq.failures, par.failures, "{ctx}: failures");
-            assert_eq!(seq.events, par.events, "{ctx}: events");
-            assert_eq!(seq.trace, par.trace, "{ctx}: decision trace");
+            assert_runs_identical(&ctx, &seq, &eng);
         }
     }
 }
@@ -242,7 +227,7 @@ fn simulate_with_cache(
     let trace = WorkloadGenerator::with_defaults(seed).generate(24);
     let mut config = SimConfig::new(Policy::new(kind))
         .with_trace()
-        .with_eval(EvalParams::parallel(4))
+        .with_eval(EvalParams::engine())
         .with_eval_cache(eval_cache);
     if seed.is_multiple_of(2) {
         config = config
@@ -312,12 +297,12 @@ fn simulate_with_shards(
     kind: PolicyKind,
     shards: usize,
 ) -> SimResult {
-    simulate_with_shards_eval(seed, n_racks, kind, shards, EvalParams::parallel(4))
+    simulate_with_shards_eval(seed, n_racks, kind, shards, EvalParams::engine())
 }
 
-/// [`simulate_with_shards`] with explicit [`EvalParams`] so the shard
-/// fan-out / bound-pruning knobs can be pinned per run, independent of the
-/// process environment.
+/// [`simulate_with_shards`] with explicit [`EvalParams`] so the
+/// bound-pruning / decision-replay knobs can be pinned per run,
+/// independent of the process environment.
 fn simulate_with_shards_eval(
     seed: u64,
     n_racks: usize,
@@ -380,31 +365,25 @@ fn sharded_scheduler_is_bit_identical_to_single_shard() {
     }
 }
 
-/// The parallel shard fan-out and the branch-and-bound shard pruning (both
-/// individually and combined) must be bit-identical to the single-shard
-/// reference: same records, same events, same metrics, for every policy
-/// across many seeds, including machine-failure and jitter runs. Uses 4+
-/// racks so cold decisions clear the fan-out's minimum batch size, and
-/// pins the knobs through [`EvalParams`] so the matrix is exercised
-/// in-process regardless of `GTS_SHARD_PAR`/`GTS_SHARD_BOUND` in the
+/// The branch-and-bound shard pruning, on and off, must be bit-identical
+/// to the single-shard reference: same records, same events, same metrics,
+/// for every policy across many seeds, including machine-failure and
+/// jitter runs. Uses 4+ racks so decisions have several memo-miss shards
+/// to order and prune, and pins the knob through [`EvalParams`] so both
+/// positions run in-process regardless of `GTS_SHARD_BOUND` in the
 /// environment. Debug builds additionally shadow-evaluate every pruned
 /// shard inside the decision path and assert the bound held.
 #[test]
-fn parallel_pruned_shards_are_bit_identical_to_single_shard() {
+fn pruned_shards_are_bit_identical_to_single_shard() {
     for kind in PolicyKind::ALL {
         for seed in 0..8u64 {
             let n_racks = 4 + (seed as usize % 3);
             let single = simulate_with_shards(seed, n_racks, kind, 1);
-            for par in [false, true] {
-                for bound in [false, true] {
-                    let eval =
-                        EvalParams::parallel(4).with_shard_par(par).with_shard_bound(bound);
-                    let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                    let ctx = format!(
-                        "{kind:?} seed {seed} ({n_racks} racks, par={par}, bound={bound})"
-                    );
-                    assert_runs_identical(&ctx, &single, &run);
-                }
+            for bound in [false, true] {
+                let eval = EvalParams::engine().with_shard_bound(bound);
+                let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
+                let ctx = format!("{kind:?} seed {seed} ({n_racks} racks, bound={bound})");
+                assert_runs_identical(&ctx, &single, &run);
             }
         }
     }
@@ -414,9 +393,8 @@ fn parallel_pruned_shards_are_bit_identical_to_single_shard() {
 /// be bit-identical to full re-evaluation: same records, same events, same
 /// metrics, for every policy across many seeds — including machine-failure/
 /// recovery and jitter runs, where snapshots go stale mid-queue — and
-/// under every combination of the shard fan-out and bound-pruning knobs
-/// (the cached per-shard floor seeds the bound prune, so the interaction
-/// matters). The knobs are pinned through [`EvalParams`] so the matrix is
+/// with bound pruning on and off (the cached per-shard floor seeds the
+/// bound prune, so the interaction matters). The knobs are pinned through [`EvalParams`] so the matrix is
 /// exercised in-process regardless of the environment; debug builds
 /// additionally shadow every replayed retry with a from-scratch decision
 /// inside the decision path and assert GPU-for-GPU, bit-for-bit equality.
@@ -427,19 +405,15 @@ fn decision_replay_is_bit_identical_to_full_reeval() {
             let n_racks = 4 + (seed as usize % 3);
             let single = simulate_with_shards(seed, n_racks, kind, 1);
             for replay in [false, true] {
-                for par in [false, true] {
-                    for bound in [false, true] {
-                        let eval = EvalParams::parallel(4)
-                            .with_shard_par(par)
-                            .with_shard_bound(bound)
-                            .with_decision_replay(replay);
-                        let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                        let ctx = format!(
-                            "{kind:?} seed {seed} ({n_racks} racks, replay={replay}, \
-                             par={par}, bound={bound})"
-                        );
-                        assert_runs_identical(&ctx, &single, &run);
-                    }
+                for bound in [false, true] {
+                    let eval = EvalParams::engine()
+                        .with_shard_bound(bound)
+                        .with_decision_replay(replay);
+                    let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
+                    let ctx = format!(
+                        "{kind:?} seed {seed} ({n_racks} racks, replay={replay}, bound={bound})"
+                    );
+                    assert_runs_identical(&ctx, &single, &run);
                 }
             }
         }
