@@ -23,12 +23,32 @@ impl WaitQueue {
 
     /// Inserts a job keeping the queue sorted by `(arrival_s, id)` —
     /// stable FIFO for simultaneous arrivals.
+    ///
+    /// O(1) for the two common shapes: a blocked head put back by the
+    /// scheduler (sorts before the current head) and an in-order arrival
+    /// (sorts at or after the tail). Anything else binary-searches the
+    /// sorted queue.
+    // `#[inline]`: the scheduler's drain loop puts its blocked head back on
+    // every retry, and a cross-crate call for that O(1) path measurably
+    // slows the retry.
+    #[inline]
     pub fn add(&mut self, job: JobSpec) {
-        let pos = self
-            .queue
-            .iter()
-            .position(|j| (j.arrival_s, j.id) > (job.arrival_s, job.id))
-            .unwrap_or(self.queue.len());
+        let key = (job.arrival_s, job.id);
+        let after = |j: &JobSpec| (j.arrival_s, j.id) > key;
+        let len = self.queue.len();
+        let pos = if self.queue.front().is_some_and(after) {
+            0
+        } else if self.queue.back().is_some_and(after) {
+            self.queue.partition_point(|j| !after(j))
+        } else {
+            len
+        };
+        debug_assert_eq!(
+            pos,
+            self.queue.iter().position(after).unwrap_or(len),
+            "insertion point disagrees with the linear scan"
+        );
+        // `VecDeque::insert` shifts the shorter side, so both ends are O(1).
         self.queue.insert(pos, job);
     }
 
@@ -189,5 +209,80 @@ mod tests {
         q.add(job(0, 1.0));
         assert_eq!(q.peek().unwrap().id, JobId(0));
         assert_eq!(q.len(), 1);
+    }
+
+    /// The queue as a plain sorted vector with the original linear-scan
+    /// insert: the oracle for `WaitQueue::add`'s fast paths.
+    #[derive(Default)]
+    struct Model {
+        queue: Vec<(f64, JobId)>,
+        postponed: Vec<(f64, JobId)>,
+    }
+
+    impl Model {
+        fn add(&mut self, key: (f64, JobId)) {
+            let pos = self.queue.iter().position(|&k| k > key).unwrap_or(self.queue.len());
+            self.queue.insert(pos, key);
+        }
+
+        fn pop(&mut self) -> Option<(f64, JobId)> {
+            (!self.queue.is_empty()).then(|| self.queue.remove(0))
+        }
+    }
+
+    fn key(j: &JobSpec) -> (f64, JobId) {
+        (j.arrival_s, j.id)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// Random add / pop / put-back / postpone / requeue sequences with
+        /// repeated arrival times and out-of-order adds: after every step
+        /// the queue and the postponed list match the linear-scan model.
+        #[test]
+        fn queue_order_matches_linear_scan_model(
+            ops in proptest::prop::collection::vec((0u32..6, 0u32..6, 0u64..16), 1..120)
+        ) {
+            let mut q = WaitQueue::new();
+            let mut model = Model::default();
+            for (op, slot, id) in ops {
+                match op {
+                    // Arrivals: few distinct times, so ties are common, and
+                    // ids from a small range, so equal keys occur too.
+                    0 | 1 => {
+                        let j = job(id, f64::from(slot) * 0.5);
+                        model.add(key(&j));
+                        q.add(j);
+                    }
+                    2 => proptest::prop_assert_eq!(q.pop().as_ref().map(key), model.pop()),
+                    // A blocked head goes back (in-order policies).
+                    3 => {
+                        if let Some(j) = q.pop() {
+                            let k = model.pop().expect("model has a head too");
+                            model.add(k);
+                            q.add(j);
+                        }
+                    }
+                    4 => {
+                        if let Some(j) = q.pop() {
+                            let k = model.pop().expect("model has a head too");
+                            model.postponed.push(k);
+                            q.postpone(j);
+                        }
+                    }
+                    _ => {
+                        for k in std::mem::take(&mut model.postponed) {
+                            model.add(k);
+                        }
+                        q.requeue_postponed();
+                    }
+                }
+                let queued: Vec<_> = q.iter().map(key).collect();
+                proptest::prop_assert_eq!(&queued, &model.queue);
+                let postponed: Vec<_> = q.postponed_iter().map(key).collect();
+                proptest::prop_assert_eq!(&postponed, &model.postponed);
+            }
+        }
     }
 }

@@ -30,7 +30,11 @@
 //!   completion comes from a lazy min-heap keyed by `(eta bits, job id)`
 //!   that is re-keyed only when a job's rate changes, and the sorted
 //!   failure/recovery schedules pop through cursors instead of
-//!   `Vec::remove(0)`.
+//!   `Vec::remove(0)`. The mean-utility sample is reused while no job has
+//!   entered or left the running set.
+//!
+//! Both modes integrate progress over dense [`Progress`] columns kept
+//! parallel to the running vector.
 //!
 //! Bit-identity of the two modes across policies, seeds, failures, and
 //! jitter is enforced by `tests/stack_properties.rs` at the workspace root
@@ -39,7 +43,7 @@
 
 use crate::ideal::ideal_duration_s;
 use crate::metrics::{JobRecord, SimEvent, SimResult, TimelineSegment, UtilitySample};
-use crate::runtime::{current_slowdown, RunningJob};
+use crate::runtime::{current_slowdown, Progress, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
@@ -361,6 +365,13 @@ pub struct Simulation {
     now: f64,
     pending: VecDeque<JobSpec>,
     running: Vec<RunningJob>,
+    /// Remaining work, rate and utility of each running job, as dense
+    /// columns parallel to `running` (pushed and `swap_remove`d in
+    /// lockstep with it).
+    progress: Progress,
+    /// Mean utility of the last sample, cleared whenever a job enters or
+    /// leaves `running`. The incremental loop reuses it while set.
+    utility_mean: Option<f64>,
     /// Position of each running job in `running` — kept exact across
     /// `push`/`swap_remove` so event processing never scans for a job.
     job_pos: HashMap<JobId, usize>,
@@ -449,6 +460,8 @@ impl Simulation {
             now: 0.0,
             pending: VecDeque::new(),
             running: Vec::new(),
+            progress: Progress::default(),
+            utility_mean: None,
             job_pos: HashMap::new(),
             dirty_mask: vec![false; n_machines],
             dirty_list: Vec::new(),
@@ -481,9 +494,10 @@ impl Simulation {
     /// instrumentation counters (see [`SimLoopStats`]).
     pub fn run_with_stats(mut self, mut trace: Vec<JobSpec>) -> (SimResult, SimLoopStats) {
         trace.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-        // Reject jobs that can never fit anywhere up front.
+        // Reject malformed jobs (non-finite arrival, zero GPUs, ...) and
+        // jobs that can never fit anywhere up front.
         for job in trace {
-            if self.fits_somewhere(&job) {
+            if job.validate().is_ok() && self.fits_somewhere(&job) {
                 self.pending.push_back(job);
             } else {
                 self.unplaceable.push(job);
@@ -505,7 +519,7 @@ impl Simulation {
             let timed = [next_arrival, next_completion, next_failure, next_recovery]
                 .into_iter()
                 .flatten()
-                .min_by(|a, b| a.partial_cmp(b).expect("finite"));
+                .min_by(f64::total_cmp);
             let t = match timed {
                 Some(t) => t,
                 None => {
@@ -529,10 +543,7 @@ impl Simulation {
             };
 
             // Integrate progress up to the event.
-            let dt = (t - self.now).max(0.0);
-            for r in &mut self.running {
-                r.advance(dt);
-            }
+            self.progress.advance((t - self.now).max(0.0));
             self.now = t;
             self.scheduler.set_now(t);
 
@@ -643,20 +654,26 @@ impl Simulation {
         }
     }
 
-    /// Appends to `running`, keeping the position index exact.
-    fn push_running(&mut self, job: RunningJob) {
+    /// Appends to `running` with `remaining_solo_s` of work left, keeping
+    /// the position index and the progress columns exact.
+    fn push_running(&mut self, job: RunningJob, remaining_solo_s: f64) {
         self.job_pos.insert(job.alloc.spec.id, self.running.len());
+        self.progress.push(remaining_solo_s, job.alloc.utility);
         self.running.push(job);
+        self.utility_mean = None;
     }
 
-    /// `swap_remove` from `running`, keeping the position index exact and
-    /// invalidating the removed job's completion-heap entry. The relocated
+    /// `swap_remove` from `running` and the progress columns, keeping the
+    /// position index exact and invalidating the removed job's
+    /// completion-heap entry. The relocated
     /// tail job changes its position in the vector; co-runner lists (and
     /// therefore the reference loop's f64 summation order) follow vector
     /// order, so every job sharing a machine with it must be re-summed —
     /// its machines join the dirty set.
     fn remove_running(&mut self, idx: usize) -> RunningJob {
         let job = self.running.swap_remove(idx);
+        self.progress.swap_remove(idx);
+        self.utility_mean = None;
         self.job_pos.remove(&job.alloc.spec.id);
         self.heap_key.remove(&job.alloc.spec.id);
         if idx < self.running.len() {
@@ -669,6 +686,7 @@ impl Simulation {
             }
         }
         debug_assert_eq!(self.job_pos.len(), self.running.len());
+        debug_assert_eq!(self.progress.len(), self.running.len());
         job
     }
 
@@ -677,11 +695,9 @@ impl Simulation {
     /// the lazy heap.
     fn next_completion(&mut self) -> Option<f64> {
         if !self.config.incremental {
-            return self
-                .running
-                .iter()
-                .map(|r| self.now + r.eta_s())
-                .min_by(|a, b| a.partial_cmp(b).expect("finite"));
+            return (0..self.running.len())
+                .map(|i| self.now + self.progress.eta_s(i))
+                .min_by(f64::total_cmp);
         }
         // Discard stale heads (entries whose key was superseded by a rate
         // change, or whose job left the running set).
@@ -716,7 +732,7 @@ impl Simulation {
             if self.heap_key.get(&id) != Some(&bits) {
                 continue; // stale entry inside the band: drop it
             }
-            let exact = self.now + self.running[self.job_pos[&id]].eta_s();
+            let exact = self.now + self.progress.eta_s(self.job_pos[&id]);
             best = best.min(exact);
             polled.push((bits, id));
         }
@@ -726,11 +742,9 @@ impl Simulation {
         debug_assert!(best.is_finite(), "band poll found no live entry");
         #[cfg(debug_assertions)]
         {
-            let reference = self
-                .running
-                .iter()
-                .map(|r| self.now + r.eta_s())
-                .min_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let reference = (0..self.running.len())
+                .map(|i| self.now + self.progress.eta_s(i))
+                .min_by(f64::total_cmp);
             assert_eq!(
                 reference.map(f64::to_bits),
                 Some(best.to_bits()),
@@ -822,7 +836,7 @@ impl Simulation {
         }
         let mut i = 0;
         while i < self.running.len() {
-            if self.running[i].finished() {
+            if self.progress.finished(i) {
                 self.complete_at(i);
             } else {
                 i += 1;
@@ -855,7 +869,7 @@ impl Simulation {
             if self.heap_key.get(&id) != Some(&bits) {
                 continue; // stale entry inside the band: drop it
             }
-            if self.running[self.job_pos[&id]].finished() {
+            if self.progress.finished(self.job_pos[&id]) {
                 // Claim the id: a re-keyed-and-back job can leave two heap
                 // entries carrying the same live bits — dropping the map
                 // entry makes any duplicate fail the liveness check above
@@ -872,11 +886,9 @@ impl Simulation {
         }
         #[cfg(debug_assertions)]
         {
-            let mut by_scan: Vec<JobId> = self
-                .running
-                .iter()
-                .filter(|r| r.finished())
-                .map(|r| r.alloc.spec.id)
+            let mut by_scan: Vec<JobId> = (0..self.running.len())
+                .filter(|&i| self.progress.finished(i))
+                .map(|i| self.running[i].alloc.spec.id)
                 .collect();
             by_scan.sort_unstable();
             let mut by_heap = finished.clone();
@@ -983,9 +995,10 @@ impl Simulation {
                         assert_eq!(placed.utility.to_bits(), utility.to_bits());
                     }
                     let alloc = Allocation { spec, gpus, utility };
-                    let mut job = RunningJob::start(alloc, &self.cluster, self.now);
+                    let job = RunningJob::start(alloc, &self.cluster, self.now);
+                    let mut remaining = job.solo_s();
                     if self.config.jitter != 0.0 {
-                        job.remaining_solo_s *= jitter_factor(
+                        remaining *= jitter_factor(
                             self.config.jitter_seed,
                             job.alloc.spec.id.0,
                             self.config.jitter,
@@ -994,7 +1007,7 @@ impl Simulation {
                     for m in job.alloc.machines() {
                         self.mark_dirty(m);
                     }
-                    self.push_running(job);
+                    self.push_running(job, remaining);
                 }
                 PlacementOutcome::WaitingForCapacity { .. } => {}
             }
@@ -1006,10 +1019,9 @@ impl Simulation {
             self.refresh_dirty_slowdowns();
             return;
         }
-        let snapshot: Vec<RunningJob> = self.running.clone();
-        let refs: Vec<&RunningJob> = snapshot.iter().collect();
-        for r in &mut self.running {
-            r.slowdown = current_slowdown(r, &refs, &self.cluster);
+        let refs: Vec<&RunningJob> = self.running.iter().collect();
+        for (i, r) in self.running.iter().enumerate() {
+            self.progress.set_slowdown(i, current_slowdown(r, &refs, &self.cluster));
             self.stats.note_eval(r.alloc.spec.id);
         }
     }
@@ -1069,11 +1081,11 @@ impl Simulation {
             for (pos, slowdown) in updates {
                 let id = self.running[pos].alloc.spec.id;
                 self.stats.note_eval(id);
-                self.running[pos].slowdown = slowdown;
+                self.progress.set_slowdown(pos, slowdown);
                 // Re-key the completion heap with the exact post-refresh
                 // completion time; the old entry (if any) goes stale and is
                 // skipped at poll time.
-                let t = self.now + self.running[pos].eta_s();
+                let t = self.now + self.progress.eta_s(pos);
                 debug_assert!(t.is_finite() && t >= 0.0);
                 let bits = t.to_bits();
                 if self.heap_key.insert(id, bits) != Some(bits) {
@@ -1086,28 +1098,37 @@ impl Simulation {
     }
 
     /// Debug shadow check: the scoped refresh must leave every running
-    /// job's slowdown bit-identical to a full reference recomputation.
+    /// job's rate bit-identical to one derived from a full reference
+    /// slowdown recomputation.
     #[cfg(debug_assertions)]
     fn debug_verify_slowdowns(&self) {
         let refs: Vec<&RunningJob> = self.running.iter().collect();
-        for r in &self.running {
-            let want = current_slowdown(r, &refs, &self.cluster);
+        for (i, r) in self.running.iter().enumerate() {
+            let want = crate::runtime::rate_under(current_slowdown(r, &refs, &self.cluster));
+            let have = self.progress.rate(i);
             assert_eq!(
                 want.to_bits(),
-                r.slowdown.to_bits(),
-                "scoped refresh diverged for {}: want {want}, have {}",
-                r.alloc.spec.id,
-                r.slowdown
+                have.to_bits(),
+                "scoped refresh diverged for {}: want rate {want}, have {have}",
+                r.alloc.spec.id
             );
         }
     }
 
+    /// Records the running set's mean utility. Running jobs' utilities
+    /// never change, so while no job has entered or left `running` the
+    /// columns (and their order) are those of the last sample and the
+    /// left-to-right sum gives the same bits: the incremental loop reuses
+    /// that mean. The reference loop re-sums on every event.
     fn sample_utility(&mut self) {
-        let mean = if self.running.is_empty() {
-            1.0
-        } else {
-            self.running.iter().map(|r| r.alloc.utility).sum::<f64>() / self.running.len() as f64
+        let mean = match self.utility_mean {
+            Some(mean) if self.config.incremental => {
+                debug_assert_eq!(mean.to_bits(), self.progress.mean_utility().to_bits());
+                mean
+            }
+            _ => self.progress.mean_utility(),
         };
+        self.utility_mean = Some(mean);
         self.utility_series.push(UtilitySample { t_s: self.now, mean_utility: mean });
     }
 
@@ -1288,6 +1309,32 @@ mod tests {
         assert_eq!(res.unplaceable.len(), 1);
         assert_eq!(res.unplaceable[0].id, gts_job::JobId(0));
         assert_eq!(res.records.len(), 1);
+    }
+
+    /// A malformed job (here a NaN arrival) mixed into a valid trace is
+    /// listed as unplaceable up front, and every valid job still runs, in
+    /// both event loops.
+    #[test]
+    fn malformed_jobs_are_reported_unplaceable() {
+        let (c, p) = setup(1);
+        let trace = vec![
+            job(0, 1, BatchClass::Tiny, 0.0, 50),
+            job(1, 2, BatchClass::Tiny, f64::NAN, 50),
+            job(2, 2, BatchClass::Small, 3.0, 50),
+        ];
+        for incremental in [true, false] {
+            let res = Simulation::new(
+                Arc::clone(&c),
+                Arc::clone(&p),
+                SimConfig::new(Policy::new(PolicyKind::TopoAware)).with_incremental(incremental),
+            )
+            .run(trace.clone());
+            let unplaceable: Vec<JobId> = res.unplaceable.iter().map(|j| j.id).collect();
+            assert_eq!(unplaceable, vec![JobId(1)], "incremental {incremental}");
+            let mut done: Vec<JobId> = res.records.iter().map(|r| r.spec.id).collect();
+            done.sort_unstable();
+            assert_eq!(done, vec![JobId(0), JobId(2)], "incremental {incremental}");
+        }
     }
 
     #[test]

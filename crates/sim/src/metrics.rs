@@ -142,7 +142,10 @@ pub struct SimResult {
     pub policy: PolicyKind,
     /// Per-job records, by completion order.
     pub records: Vec<JobRecord>,
-    /// Jobs that could never be placed (exceed any machine's capacity).
+    /// Jobs that were never run: malformed specs (failing
+    /// `JobSpec::validate`, e.g. a non-finite arrival or zero GPUs), jobs
+    /// wider than the cluster can ever host, and jobs still stuck at the
+    /// queue head once the cluster has drained.
     pub unplaceable: Vec<JobSpec>,
     /// Placement timeline for Fig. 8/9-style plots.
     pub timeline: Vec<TimelineSegment>,

@@ -3,8 +3,10 @@
 //! A placed job carries a stock of *work* — its solo duration under the
 //! placement it received — and burns it down at rate `1/(1+slowdown)`,
 //! where the slowdown is the Fig. 6 aggregate over its current co-runners.
-//! The engine calls [`RunningJob::advance`] to integrate progress between
-//! events and re-derives rates whenever the running set changes.
+//! [`RunningJob`] holds what a placement fixes for the job's lifetime;
+//! [`Progress`] holds what changes between events (remaining work, rate)
+//! as dense columns parallel to the engine's running vector, so the
+//! per-event integration is one pass over two `f64` slices.
 //!
 //! [`current_slowdown`] is a pure function of the victim's allocation and
 //! the *ordered* co-runner list: jobs couple only through machines they
@@ -18,7 +20,7 @@ use gts_perf::{total_slowdown, IterTime, PlacementPerf};
 use gts_sched::Allocation;
 use gts_topo::ClusterTopology;
 
-/// One placed, in-flight job.
+/// One placed, in-flight job: the allocation and what it fixes.
 #[derive(Debug, Clone)]
 pub struct RunningJob {
     /// The allocation the scheduler granted.
@@ -27,10 +29,6 @@ pub struct RunningJob {
     pub started_at: f64,
     /// Solo per-iteration profile under this placement.
     pub iter: IterTime,
-    /// Remaining work, in solo-execution seconds.
-    pub remaining_solo_s: f64,
-    /// Current interference slowdown (0 = solo speed).
-    pub slowdown: f64,
 }
 
 impl RunningJob {
@@ -53,35 +51,100 @@ impl RunningJob {
             _ => PlacementPerf::evaluate_cluster(cluster, &alloc.gpus)
                 .iter_time(alloc.spec.model, alloc.spec.batch.representative_batch()),
         };
-        let remaining = f64::from(alloc.spec.iterations) * iter.total_s();
-        Self {
-            alloc,
-            started_at: now,
-            iter,
-            remaining_solo_s: remaining,
-            slowdown: 0.0,
+        Self { alloc, started_at: now, iter }
+    }
+
+    /// Total work of the job, in solo-execution seconds under this
+    /// placement.
+    pub fn solo_s(&self) -> f64 {
+        f64::from(self.alloc.spec.iterations) * self.iter.total_s()
+    }
+}
+
+/// Progress rate under an interference slowdown, in solo-seconds per
+/// wall-second.
+pub fn rate_under(slowdown: f64) -> f64 {
+    1.0 / (1.0 + slowdown)
+}
+
+/// Progress of the running set: one entry per running job in each column,
+/// in running-vector order. The engine pushes and `swap_remove`s the
+/// columns in lockstep with its running vector.
+#[derive(Debug, Clone, Default)]
+pub struct Progress {
+    /// Remaining work, in solo-execution seconds.
+    remaining_solo_s: Vec<f64>,
+    /// Current progress rate, `1/(1+slowdown)` solo-seconds per
+    /// wall-second (1 = solo speed).
+    rate: Vec<f64>,
+    /// Placement utility (fixed for the job's lifetime).
+    utility: Vec<f64>,
+}
+
+impl Progress {
+    /// Number of running jobs.
+    pub fn len(&self) -> usize {
+        self.rate.len()
+    }
+
+    /// True when nothing runs.
+    pub fn is_empty(&self) -> bool {
+        self.rate.is_empty()
+    }
+
+    /// Appends a fresh job with `remaining_solo_s` of work, running at
+    /// solo speed until its first slowdown refresh.
+    pub fn push(&mut self, remaining_solo_s: f64, utility: f64) {
+        self.remaining_solo_s.push(remaining_solo_s);
+        self.rate.push(1.0);
+        self.utility.push(utility);
+    }
+
+    /// Removes entry `idx`, moving the last entry into its slot (mirrors
+    /// `Vec::swap_remove` on the running vector).
+    pub fn swap_remove(&mut self, idx: usize) {
+        self.remaining_solo_s.swap_remove(idx);
+        self.rate.swap_remove(idx);
+        self.utility.swap_remove(idx);
+    }
+
+    /// Sets job `idx`'s interference slowdown (0 = solo speed).
+    pub fn set_slowdown(&mut self, idx: usize, slowdown: f64) {
+        self.rate[idx] = rate_under(slowdown);
+    }
+
+    /// Job `idx`'s progress rate, in solo-seconds per wall-second.
+    pub fn rate(&self, idx: usize) -> f64 {
+        self.rate[idx]
+    }
+
+    /// Wall-clock seconds until job `idx` completes at its current rate.
+    pub fn eta_s(&self, idx: usize) -> f64 {
+        self.remaining_solo_s[idx] / self.rate[idx]
+    }
+
+    /// True once job `idx` has done all its work.
+    pub fn finished(&self, idx: usize) -> bool {
+        self.remaining_solo_s[idx] <= 1e-9
+    }
+
+    /// Integrates every job's progress over `dt` wall-clock seconds.
+    pub fn advance(&mut self, dt: f64) {
+        debug_assert!(dt >= -1e-9, "time cannot run backwards: {dt}");
+        let dt = dt.max(0.0);
+        for (rem, &rate) in self.remaining_solo_s.iter_mut().zip(&self.rate) {
+            *rem = (*rem - dt * rate).max(0.0);
         }
     }
 
-    /// Current progress rate in solo-seconds per wall-second.
-    pub fn rate(&self) -> f64 {
-        1.0 / (1.0 + self.slowdown)
-    }
-
-    /// Wall-clock seconds until completion at the current rate.
-    pub fn eta_s(&self) -> f64 {
-        self.remaining_solo_s / self.rate()
-    }
-
-    /// Integrates progress over `dt` wall-clock seconds.
-    pub fn advance(&mut self, dt: f64) {
-        debug_assert!(dt >= -1e-9, "time cannot run backwards: {dt}");
-        self.remaining_solo_s = (self.remaining_solo_s - dt.max(0.0) * self.rate()).max(0.0);
-    }
-
-    /// True once all work is done.
-    pub fn finished(&self) -> bool {
-        self.remaining_solo_s <= 1e-9
+    /// Mean placement utility over the running set, summed in
+    /// running-vector order; 1 when nothing runs.
+    pub fn mean_utility(&self) -> f64 {
+        if self.utility.is_empty() {
+            1.0
+        } else {
+            self.utility.iter().sum::<f64>() / self.utility.len() as f64
+        }
     }
 }
 
@@ -150,36 +213,70 @@ mod tests {
         }
     }
 
+    /// A one-job progress column for `r`, as the engine starts it.
+    fn progress_of(r: &RunningJob) -> Progress {
+        let mut p = Progress::default();
+        p.push(r.solo_s(), r.alloc.utility);
+        p
+    }
+
     #[test]
     fn solo_job_runs_at_full_rate() {
         let c = cluster();
         let r = RunningJob::start(alloc(0, 0, &[0, 1], BatchClass::Tiny), &c, 0.0);
-        assert_eq!(r.rate(), 1.0);
-        assert!(!r.finished());
+        let p = progress_of(&r);
+        assert_eq!(p.rate(0), 1.0);
+        assert!(!p.finished(0));
         let expected = 100.0 * r.iter.total_s();
-        assert!((r.eta_s() - expected).abs() < 1e-9);
+        assert!((p.eta_s(0) - expected).abs() < 1e-9);
     }
 
     #[test]
     fn advance_burns_down_work_and_finishes() {
         let c = cluster();
-        let mut r = RunningJob::start(alloc(0, 0, &[0], BatchClass::Tiny), &c, 0.0);
-        let total = r.remaining_solo_s;
-        r.advance(total / 2.0);
-        assert!((r.remaining_solo_s - total / 2.0).abs() < 1e-9);
-        r.advance(total);
-        assert!(r.finished());
-        assert_eq!(r.remaining_solo_s, 0.0);
+        let r = RunningJob::start(alloc(0, 0, &[0], BatchClass::Tiny), &c, 0.0);
+        let mut p = progress_of(&r);
+        let total = p.remaining_solo_s[0];
+        p.advance(total / 2.0);
+        assert!((p.remaining_solo_s[0] - total / 2.0).abs() < 1e-9);
+        p.advance(total);
+        assert!(p.finished(0));
+        assert_eq!(p.remaining_solo_s[0], 0.0);
     }
 
     #[test]
     fn slowdown_stretches_eta() {
         let c = cluster();
-        let mut r = RunningJob::start(alloc(0, 0, &[0, 1], BatchClass::Tiny), &c, 0.0);
-        let solo_eta = r.eta_s();
-        r.slowdown = 0.30;
-        assert!((r.eta_s() - solo_eta * 1.3).abs() < 1e-9);
-        assert!((r.rate() - 1.0 / 1.3).abs() < 1e-12);
+        let r = RunningJob::start(alloc(0, 0, &[0, 1], BatchClass::Tiny), &c, 0.0);
+        let mut p = progress_of(&r);
+        let solo_eta = p.eta_s(0);
+        p.set_slowdown(0, 0.30);
+        assert!((p.eta_s(0) - solo_eta * 1.3).abs() < 1e-9);
+        assert!((p.rate(0) - 1.0 / 1.3).abs() < 1e-12);
+    }
+
+    /// Columns follow the running vector's `swap_remove`, and each job
+    /// burns down at its own rate.
+    #[test]
+    fn columns_swap_remove_in_lockstep() {
+        let mut p = Progress::default();
+        p.push(10.0, 0.5);
+        p.push(20.0, 1.0);
+        p.push(30.0, 0.75);
+        p.set_slowdown(2, 1.0);
+        p.advance(4.0);
+        assert_eq!(p.remaining_solo_s[0], 6.0);
+        assert_eq!(p.remaining_solo_s[2], 28.0);
+        assert_eq!(p.mean_utility(), 0.75);
+        p.swap_remove(0);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.remaining_solo_s[0], 28.0);
+        assert_eq!(p.rate(0), 0.5);
+        assert_eq!(p.mean_utility(), 0.875);
+        p.swap_remove(1);
+        p.swap_remove(0);
+        assert!(p.is_empty());
+        assert_eq!(p.mean_utility(), 1.0);
     }
 
     #[test]

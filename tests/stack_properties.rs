@@ -151,17 +151,30 @@ fn evaluation_engine_is_bit_identical_to_sequential_reference() {
 /// script a failure/recovery cycle (exercising teardown, resubmission, and
 /// dirty-set marking across machines); seeds divisible by 3 add execution
 /// jitter so per-job rates are irrational multiples of each other and the
-/// completion heap sees no artificial ties.
+/// completion heap sees no artificial ties. A backlogged run has arrivals
+/// far faster than the cluster drains: the queue grows long and most
+/// events are arrivals that leave the running set unchanged, the case in
+/// which the incremental loop reuses the previous utility sample.
 fn simulate_with_loop(
     seed: u64,
     n_machines: usize,
     kind: PolicyKind,
     incremental: bool,
+    backlogged: bool,
 ) -> SimResult {
     let machine = power8_minsky();
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
     let cluster = Arc::new(ClusterTopology::homogeneous(machine, n_machines));
-    let trace = WorkloadGenerator::with_defaults(seed).generate(24);
+    let trace = if backlogged {
+        let config = GeneratorConfig {
+            arrival_rate_per_min: 600.0,
+            iterations: 2000,
+            ..GeneratorConfig::default()
+        };
+        WorkloadGenerator::new(config, seed).generate(48)
+    } else {
+        WorkloadGenerator::with_defaults(seed).generate(24)
+    };
     let mut config = SimConfig::new(Policy::new(kind))
         .with_trace()
         .with_incremental(incremental);
@@ -177,34 +190,49 @@ fn simulate_with_loop(
 }
 
 /// The incremental event loop (machine-scoped slowdown refresh, completion
-/// heap, schedule cursors) must be bit-identical to the recompute-everything
-/// reference loop: same records, same trace, same events, same makespan
-/// bits, for every policy across many seeds, including machine-failure and
-/// jitter runs. (`mean_decision_s` is wall-clock and legitimately differs.)
+/// heap, schedule cursors, reused utility sample) must be bit-identical to
+/// the recompute-everything reference loop: same records, same trace, same
+/// events, same makespan bits, for every policy across many seeds,
+/// including machine-failure, jitter and backlogged runs.
+/// (`mean_decision_s` is wall-clock and legitimately differs.)
 #[test]
 fn incremental_event_loop_is_bit_identical_to_reference() {
-    for kind in PolicyKind::ALL {
-        for seed in 0..8u64 {
-            let n_machines = 2 + (seed as usize % 3);
-            let reference = simulate_with_loop(seed, n_machines, kind, false);
-            let inc = simulate_with_loop(seed, n_machines, kind, true);
-            let ctx = format!("{kind:?} seed {seed} ({n_machines} machines)");
-            assert_eq!(reference.policy, inc.policy, "{ctx}: policy");
-            assert_eq!(reference.records, inc.records, "{ctx}: records");
-            assert_eq!(reference.unplaceable, inc.unplaceable, "{ctx}: unplaceable");
-            assert_eq!(reference.timeline, inc.timeline, "{ctx}: timeline");
-            assert_eq!(reference.utility_series, inc.utility_series, "{ctx}: utility series");
-            assert_eq!(
-                reference.makespan_s.to_bits(),
-                inc.makespan_s.to_bits(),
-                "{ctx}: makespan {} vs {}",
-                reference.makespan_s,
-                inc.makespan_s
-            );
-            assert_eq!(reference.slo_violations, inc.slo_violations, "{ctx}: SLO violations");
-            assert_eq!(reference.failures, inc.failures, "{ctx}: failures");
-            assert_eq!(reference.events, inc.events, "{ctx}: events");
-            assert_eq!(reference.trace, inc.trace, "{ctx}: decision trace");
+    for backlogged in [false, true] {
+        for kind in PolicyKind::ALL {
+            for seed in 0..8u64 {
+                let n_machines = 2 + (seed as usize % 3);
+                let reference = simulate_with_loop(seed, n_machines, kind, false, backlogged);
+                let inc = simulate_with_loop(seed, n_machines, kind, true, backlogged);
+                let ctx = format!(
+                    "{kind:?} seed {seed} ({n_machines} machines, backlogged {backlogged})"
+                );
+                if backlogged {
+                    let waited = inc.records.iter().filter(|r| r.waiting_s() > 0.0).count();
+                    assert!(2 * waited > inc.records.len(), "{ctx}: no backlog formed");
+                }
+                assert_eq!(reference.policy, inc.policy, "{ctx}: policy");
+                assert_eq!(reference.records, inc.records, "{ctx}: records");
+                assert_eq!(reference.unplaceable, inc.unplaceable, "{ctx}: unplaceable");
+                assert_eq!(reference.timeline, inc.timeline, "{ctx}: timeline");
+                let bits = |r: &SimResult| -> Vec<(u64, u64)> {
+                    r.utility_series
+                        .iter()
+                        .map(|u| (u.t_s.to_bits(), u.mean_utility.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&reference), bits(&inc), "{ctx}: utility series");
+                assert_eq!(
+                    reference.makespan_s.to_bits(),
+                    inc.makespan_s.to_bits(),
+                    "{ctx}: makespan {} vs {}",
+                    reference.makespan_s,
+                    inc.makespan_s
+                );
+                assert_eq!(reference.slo_violations, inc.slo_violations, "{ctx}: SLO violations");
+                assert_eq!(reference.failures, inc.failures, "{ctx}: failures");
+                assert_eq!(reference.events, inc.events, "{ctx}: events");
+                assert_eq!(reference.trace, inc.trace, "{ctx}: decision trace");
+            }
         }
     }
 }
