@@ -3,25 +3,17 @@
 //! The fig10/fig11/failures/validate experiments run independent
 //! simulations per `(seed, policy)` cell; each cell is deterministic, so
 //! running them on a scoped worker pool changes nothing but wall-clock.
-//! The pool has one worker per available core; `GTS_EVAL_THREADS=1` (the
-//! sequential reference) makes every sweep serial again.
-
-use gts_core::prelude::EvalParams;
+//! The pool has one worker per available core.
 
 /// Maps `f` over `items` on a scoped worker pool, returning results in
-/// input order. Serial when `GTS_EVAL_THREADS=1` or there is at most one
-/// item.
+/// input order. Serial when there is one core or at most one item.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = if EvalParams::from_env().is_sequential() {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     if threads <= 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }

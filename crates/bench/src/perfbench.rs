@@ -65,7 +65,7 @@ pub struct ScalePoint {
     #[serde(default)]
     pub wall_ns: u64,
     /// Queue-drain retries answered from a decision snapshot during the
-    /// run (`GTS_DECISION_REPLAY`, DESIGN.md §12).
+    /// run (DESIGN.md §12).
     #[serde(default)]
     pub replay_hits: u64,
     /// Shards re-evaluated by partial replays during the run.
@@ -243,7 +243,7 @@ pub fn run(smoke: bool) -> BenchReport {
     let state = mostly_idle_state(64);
     let job = JobSpec::new(0, NnModel::AlexNet, BatchClass::Tiny, 2).with_min_utility(0.5);
     let policy = Policy::new(PolicyKind::TopoAware);
-    let engine = EvalParams::from_env();
+    let engine = EvalParams::engine();
     c.bench_function("arrival/topo64_sequential", |b| {
         b.iter(|| black_box(policy.decide_with(&state, &job, EvalParams::sequential())))
     });
@@ -262,13 +262,13 @@ pub fn run(smoke: bool) -> BenchReport {
     let wide_job =
         JobSpec::new(1, NnModel::AlexNet, BatchClass::Tiny, 4).with_min_utility(0.5);
     let warm_cache = EvalCache::with_capacity(4096);
-    policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache));
+    policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache), None);
     c.bench_function("arrival/topo256_cold", |b| {
         b.iter(|| black_box(policy.decide_with(&state, &wide_job, engine)))
     });
     c.bench_function("arrival/topo256_warm", |b| {
         b.iter(|| {
-            black_box(policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache)))
+            black_box(policy.decide_with_cache(&state, &wide_job, engine, Some(&warm_cache), None))
         })
     });
 
@@ -308,7 +308,7 @@ pub fn run(smoke: bool) -> BenchReport {
     let trace = WorkloadGenerator::new(gen, 2002).generate(large_jobs);
     // The cache is toggled explicitly so `large_incremental` keeps meaning
     // what it meant before the cache existed (A/B against committed
-    // baselines), regardless of the ambient `GTS_EVAL_CACHE`.
+    // baselines).
     for (label, incremental, cached) in [
         ("large_reference", false, false),
         ("large_incremental", true, false),
@@ -353,12 +353,10 @@ pub fn run(smoke: bool) -> BenchReport {
         loop_stats.eval_cache_hits as f64 / lookups as f64
     };
 
-    // 5. The datacenter-scale pair: the single-shard reference and the
-    // sharded two-level scheduler (bound pruning and decision replay
-    // pinned off — the PR 6 A/B baseline), on a rack-partitioned cluster
-    // under a sustained Poisson stream dense enough to keep the cluster
-    // saturated. The shipped default path is measured by `gts bench
-    // scale-curve`. Each variant runs SAMPLES
+    // 5. The datacenter-scale pair: the shipped engine on one shard and on
+    // rack-aligned shards, on a rack-partitioned cluster under a sustained
+    // Poisson stream dense enough to keep the cluster saturated. Each
+    // variant runs SAMPLES
     // independent sims (distinct Poisson seeds over the same regime) and
     // the entries carry the mean/min across them, so the derived speedups
     // average over warm decision distributions instead of trusting one
@@ -374,11 +372,6 @@ pub fn run(smoke: bool) -> BenchReport {
             poisson_trace(huge_machines, (huge_jobs / HUGE_SAMPLES).max(1), 3003 + i as u64)
         })
         .collect();
-    // `serial_eval` is the PR 6 A/B baseline: bound pruning and decision
-    // replay pinned off, regardless of ambient knobs.
-    let serial_eval =
-        EvalParams::from_env().with_shard_bound(false).with_decision_replay(false);
-
     let mut results: Vec<BenchEntry> = c
         .take_records()
         .into_iter()
@@ -392,13 +385,10 @@ pub fn run(smoke: bool) -> BenchReport {
             p99_ns: 0,
         })
         .collect();
-    for (label, shards, eval) in [
-        ("huge_single", 1, serial_eval),
-        ("huge_sharded", huge_racks, serial_eval),
-    ] {
+    for (label, shards) in [("huge_single", 1), ("huge_sharded", huge_racks)] {
         let runs: Vec<SimRun> = huge_traces
             .iter()
-            .map(|t| sharded_sim(&huge_cluster, &huge_profiles, t, shards, eval))
+            .map(|t| sharded_sim(&huge_cluster, &huge_profiles, t, shards))
             .collect();
         let stat = |pick: fn(&SimRun) -> u64| {
             let vals: Vec<u64> = runs.iter().map(pick).collect();
@@ -498,20 +488,15 @@ struct SimRun {
     stats: SimLoopStats,
 }
 
-/// One full simulation with an explicit shard count and evaluation
-/// parameters, instrumented.
+/// One full simulation of the shipped engine with an explicit shard
+/// count, instrumented.
 fn sharded_sim(
     cluster: &Arc<ClusterTopology>,
     profiles: &Arc<ProfileLibrary>,
     trace: &[JobSpec],
     shards: usize,
-    eval: EvalParams,
 ) -> SimRun {
-    let config = SimConfig::new(Policy::new(PolicyKind::TopoAware))
-        .with_eval(eval)
-        .with_incremental(true)
-        .with_eval_cache(true)
-        .with_shards(shards);
+    let config = SimConfig::new(Policy::new(PolicyKind::TopoAware)).with_shards(shards);
     let started = std::time::Instant::now();
     let (result, stats) = Simulation::new(Arc::clone(cluster), Arc::clone(profiles), config)
         .run_with_stats(trace.to_vec());
@@ -543,8 +528,7 @@ pub fn scale_curve(smoke: bool) -> Vec<ScalePoint> {
             let (cluster, profiles) = racked_minsky_cluster(n_racks, per_rack);
             let jobs = machines * jobs_per_machine;
             let trace = poisson_trace(machines, jobs, 3003);
-            let run =
-                sharded_sim(&cluster, &profiles, &trace, n_racks, EvalParams::from_env());
+            let run = sharded_sim(&cluster, &profiles, &trace, n_racks);
             ScalePoint {
                 machines: machines as u64,
                 shards: n_racks as u64,
@@ -668,14 +652,11 @@ mod tests {
             assert_eq!(p.wall_ms, p.wall_ns / 1_000_000, "wall_ms must floor wall_ns");
         }
         // The saturated curve regime drains queues across completions, so
-        // decision replay must actually fire somewhere in the sweep
-        // (ambient GTS_DECISION_REPLAY=0 legs pin it off and skip this).
-        if EvalParams::from_env().decision_replay {
-            assert!(
-                points.iter().any(|p| p.replay_hits > 0),
-                "no scale-curve point saw a replay hit"
-            );
-        }
+        // decision replay must actually fire somewhere in the sweep.
+        assert!(
+            points.iter().any(|p| p.replay_hits > 0),
+            "no scale-curve point saw a replay hit"
+        );
     }
 
     #[test]

@@ -86,13 +86,10 @@ impl Prototype {
     }
 
     /// Executes a trace in scaled real time and collects the results.
+    /// Jobs that fail [`JobSpec::validate`] (e.g. a NaN arrival) or fit no
+    /// machine are left out, as are cancellations at a non-finite time.
     pub fn run(&self, mut trace: Vec<JobSpec>) -> ProtoResult {
-        trace.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .expect("finite arrivals")
-                .then(a.id.cmp(&b.id))
-        });
+        trace.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         let mut expected = 0usize;
         let mut runnable = Vec::new();
         for job in trace {
@@ -102,7 +99,7 @@ impl Prototype {
                 .any(|m| self.cluster.machine(m).n_gpus() >= job.n_gpus as usize)
                 || (job.constraints.anti_collocate
                     && (job.n_gpus as usize) <= self.cluster.n_machines());
-            if fits {
+            if fits && job.validate().is_ok() {
                 expected += 1;
                 runnable.push(job);
             }
@@ -117,8 +114,9 @@ impl Prototype {
 
         // Cancellation injector (scripted operator actions).
         let canceller = {
-            let mut schedule = self.config.cancellations.clone();
-            schedule.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+            let mut schedule: Vec<(f64, JobId)> =
+                self.config.cancellations.iter().copied().filter(|c| c.0.is_finite()).collect();
+            schedule.sort_by(|a, b| a.0.total_cmp(&b.0));
             let tx = tx.clone();
             let clock = clock.clone();
             std::thread::spawn(move || {

@@ -13,14 +13,13 @@
 //!    mapping per *class* and fans the result out to every member.
 //!    Together with the oracle's canonical co-runner order this keeps
 //!    every utility bit-identical to the sequential reference
-//!    (`GTS_EVAL_THREADS=1`).
+//!    ([`EvalParams::sequential`]).
 //! 2. **Cross-event caching.** Because the class key is a pure function of
 //!    machine state and the job-side inputs reduce to a small *job class*,
 //!    a `(machine class, job class) → outcome` entry never goes stale —
 //!    only cold. [`EvalCache`] therefore persists across arrivals for the
-//!    whole scheduler/simulation run (an LRU, `GTS_EVAL_CACHE` knob), so
-//!    steady-state arrivals that revisit known keys skip the DRB mapping
-//!    entirely (DESIGN.md §9).
+//!    whole scheduler/simulation run (an LRU), so steady-state arrivals
+//!    that revisit known keys skip the DRB mapping entirely (DESIGN.md §9).
 //!
 //! Every evaluation runs on the caller's thread. The engine never changes
 //! *which* candidate wins: the policy's tie-breaking (`FRAG_TIE_EPS` +
@@ -35,95 +34,33 @@ use gts_topo::{GlobalGpuId, GpuId, MachineId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Evaluation-engine parameters, threaded from the drivers down to
-/// [`crate::Policy::decide_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`crate::Policy::decide_with`]. The default is the engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalParams {
     /// Selects the sequential reference path: every candidate is evaluated
     /// in order with no memoization, exactly as the pre-engine scheduler
     /// did. `false` is the memoized engine.
     pub sequential: bool,
-    /// Prune memo-miss shards whose admissible utility bound proves them
-    /// uncompetitive (`GTS_SHARD_BOUND`, default on). Exact
-    /// branch-and-bound: results are bit-identical either way.
-    pub shard_bound: bool,
-    /// Replay whole decisions across events from the per-job-class decision
-    /// snapshot, re-evaluating only the shards whose version stamps moved
-    /// (`GTS_DECISION_REPLAY`, default on; DESIGN.md §12). Off restores the
-    /// PR 7 per-decision path. Results are bit-identical either way.
-    pub decision_replay: bool,
 }
 
 impl EvalParams {
     /// The sequential reference: candidates evaluated one by one, no
     /// memoization.
     pub fn sequential() -> Self {
-        Self::new(true)
+        Self { sequential: true }
     }
 
     /// The memoized engine.
     pub fn engine() -> Self {
-        Self::new(false)
-    }
-
-    fn new(sequential: bool) -> Self {
-        Self { sequential, shard_bound: shard_bound_env(), decision_replay: decision_replay_env() }
-    }
-
-    /// Reads `GTS_EVAL_THREADS` (cached after the first read): `1` selects
-    /// the sequential reference; unset or any other value selects the
-    /// engine.
-    pub fn from_env() -> Self {
-        static SEQUENTIAL: OnceLock<bool> = OnceLock::new();
-        Self::new(*SEQUENTIAL.get_or_init(|| {
-            std::env::var("GTS_EVAL_THREADS").is_ok_and(|v| v.trim().parse::<usize>() == Ok(1))
-        }))
+        Self { sequential: false }
     }
 
     /// True when this selects the sequential reference path.
     pub fn is_sequential(&self) -> bool {
         self.sequential
-    }
-
-    /// Overrides the shard bound-pruning knob (for in-process A/B testing).
-    pub fn with_shard_bound(mut self, on: bool) -> Self {
-        self.shard_bound = on;
-        self
-    }
-
-    /// Overrides the decision-replay knob (for in-process A/B testing).
-    pub fn with_decision_replay(mut self, on: bool) -> Self {
-        self.decision_replay = on;
-        self
-    }
-}
-
-/// `GTS_SHARD_BOUND` (cached): `0`/`off`/`false` disable bound pruning;
-/// anything else (including unset) leaves it on.
-fn shard_bound_env() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| parse_on_by_default(std::env::var("GTS_SHARD_BOUND").ok().as_deref()))
-}
-
-/// `GTS_DECISION_REPLAY` (cached): `0`/`off`/`false` disable cross-event
-/// decision replay; anything else (including unset) leaves it on.
-fn decision_replay_env() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED
-        .get_or_init(|| parse_on_by_default(std::env::var("GTS_DECISION_REPLAY").ok().as_deref()))
-}
-
-/// Whether an on-by-default knob stays on: only `0`/`off`/`false` (any
-/// case, surrounding whitespace ignored) turn it off.
-fn parse_on_by_default(raw: Option<&str>) -> bool {
-    !raw.is_some_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false"))
-}
-
-impl Default for EvalParams {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -223,32 +160,6 @@ impl Hash for CacheKey {
     }
 }
 
-/// Default cache capacity in entries (per state shard on the sharded
-/// path) when `GTS_EVAL_CACHE` is unset or just "1"/"on".
-const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Parses `GTS_EVAL_CACHE` once: `None` = disabled (`0`/`off`/`false`,
-/// restoring the pre-cache behavior), otherwise the total entry capacity
-/// (`1`/`on`/`true`/unset → the default, any other positive integer → that
-/// capacity). Words match in any case.
-fn cache_env() -> Option<usize> {
-    static CACHED: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHED.get_or_init(|| parse_cache(std::env::var("GTS_EVAL_CACHE").ok().as_deref()))
-}
-
-fn parse_cache(raw: Option<&str>) -> Option<usize> {
-    let Some(v) = raw else {
-        return Some(DEFAULT_CACHE_CAPACITY);
-    };
-    match v.trim().to_ascii_lowercase().as_str() {
-        "0" | "off" | "false" => None,
-        other => match other.parse::<usize>() {
-            Ok(n) if n > 1 => Some(n),
-            _ => Some(DEFAULT_CACHE_CAPACITY),
-        },
-    }
-}
-
 /// Hit/miss/eviction counters of an [`EvalCache`], read at any point of a
 /// run. One lookup is counted per *equivalence class* per arrival (the
 /// engine groups candidates first), not per candidate machine.
@@ -275,9 +186,8 @@ impl EvalCacheStats {
     }
 }
 
-/// Cross-event decision-replay counters (`GTS_DECISION_REPLAY`,
-/// DESIGN.md §12), read at any point of a run via
-/// [`crate::Scheduler::decision_replay_stats`].
+/// Cross-event decision-replay counters (DESIGN.md §12), read at any
+/// point of a run via [`crate::Scheduler::decision_replay_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionReplayStats {
     /// Retries answered from a snapshot (full or partial replay).
@@ -378,7 +288,7 @@ impl Lru {
 ///
 /// Both key halves are pure functions of state (DESIGN.md §9), so entries
 /// never go stale — a machine whose occupancy changes simply stops
-/// producing the old key. Disabled (`GTS_EVAL_CACHE=0`) the engine behaves
+/// producing the old key. Without a cache the engine behaves
 /// exactly as the per-arrival memoizer did; enabled, results are still
 /// bit-identical because a hit replays the bits a miss would have computed
 /// (debug builds re-run the evaluation on every hit and assert exactly
@@ -597,33 +507,6 @@ impl EvalCache {
             memo.insert(job.clone(), MemoRow { slots, snap: None });
         }
         f(memo.get_mut(job).expect("row ensured above"))
-    }
-
-    /// A cache sized by `GTS_EVAL_CACHE` (default capacity when the knob
-    /// only toggles). Note this ignores the knob's *off* position — use
-    /// [`EvalCache::enabled_by_env`] to honor it.
-    pub fn from_env() -> Self {
-        Self::with_capacity(cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY))
-    }
-
-    /// The cache for the two-level decision path: one cache shared by
-    /// every shard, with the per-shard `GTS_EVAL_CACHE` capacity scaled by
-    /// the shard count (the same total budget a cache-per-shard split
-    /// would claim). Sharing matters because machine-class keys recur
-    /// across shards — an idle machine's key is the same in every rack —
-    /// and per-shard caches made every shard learn every (machine class,
-    /// job class) pair independently, multiplying first-touch DRB
-    /// evaluations by the shard count. Keys are pure functions of state,
-    /// so cache placement never affects the bits a lookup returns.
-    pub fn from_env_per_shard(n_shards: usize) -> Self {
-        let capacity = cache_env().unwrap_or(DEFAULT_CACHE_CAPACITY);
-        Self::with_capacity(capacity.saturating_mul(n_shards.max(1)))
-    }
-
-    /// Whether `GTS_EVAL_CACHE` leaves the cache enabled (anything but
-    /// `0`/`off`/`false`; cached after the first read).
-    pub fn enabled_by_env() -> bool {
-        cache_env().is_some()
     }
 
     /// Counters so far.
@@ -908,23 +791,6 @@ mod tests {
             params,
             cache,
         )
-    }
-
-    #[test]
-    fn knob_parsing_ignores_case_and_whitespace() {
-        assert!(EvalParams::sequential().is_sequential());
-        assert!(!EvalParams::engine().is_sequential());
-        for off in ["0", "off", "false", "OFF", "False", " off "] {
-            assert!(!parse_on_by_default(Some(off)), "{off:?} must turn the knob off");
-            assert_eq!(parse_cache(Some(off)), None, "{off:?} must disable the cache");
-        }
-        for on in ["1", "on", "TRUE", "", "banana"] {
-            assert!(parse_on_by_default(Some(on)), "{on:?} leaves the knob on");
-            assert_eq!(parse_cache(Some(on)), Some(DEFAULT_CACHE_CAPACITY), "{on:?}");
-        }
-        assert!(parse_on_by_default(None));
-        assert_eq!(parse_cache(None), Some(DEFAULT_CACHE_CAPACITY));
-        assert_eq!(parse_cache(Some(" 64 ")), Some(64));
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!   Eq. 4 interference prediction and Eq. 5 fragmentation;
 //! * [`eval`] — the memoized candidate-evaluation engine behind
 //!   `TOPO-AWARE(-P)`: equivalence-class deduplication, the cross-event
-//!   [`EvalCache`], and the `GTS_EVAL_THREADS` reference switch;
+//!   [`EvalCache`], and the [`EvalParams::sequential`] reference path;
 //! * [`policy`] — the four evaluated policies: `TOPO-AWARE`,
 //!   `TOPO-AWARE-P` (postponing), `FCFS` and Best-Fit (`BF`);
 //! * [`shard`] — machine-partition sharding for datacenter scale: the
-//!   rack-aligned (or `GTS_SHARDS`-chosen) partition plus per-shard
+//!   rack-aligned (or [`ShardSpec::Count`]) partition plus per-shard
 //!   admission aggregates behind the two-level decision path;
 //! * [`scheduler`] — the Algorithm 1 loop: arrival-ordered queue, host
 //!   filtering, placement or postponement, SLO accounting;

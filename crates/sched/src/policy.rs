@@ -102,10 +102,10 @@ pub struct Decision {
 
 impl Policy {
     /// Proposes a placement for `job`, or `None` when no feasible set of
-    /// GPUs exists right now. Never mutates state. Evaluation-engine
-    /// parameters come from the environment ([`EvalParams::from_env`]).
+    /// GPUs exists right now. Never mutates state. Runs the memoized
+    /// engine ([`EvalParams::engine`]) without a cross-event cache.
     pub fn decide(&self, state: &ClusterState, job: &JobSpec) -> Option<Decision> {
-        self.decide_impl(state, job, None, EvalParams::from_env(), None)
+        self.decide_with(state, job, EvalParams::engine())
     }
 
     /// [`Policy::decide`] with explicit evaluation-engine parameters —
@@ -117,7 +117,7 @@ impl Policy {
         job: &JobSpec,
         params: EvalParams,
     ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, None)
+        self.decide_with_cache(state, job, params, None, None)
     }
 
     /// [`Policy::decide_with`] backed by a cross-event [`EvalCache`]: class
@@ -126,74 +126,19 @@ impl Policy {
     /// when the state holds more than one shard) keeps its shard memo and
     /// decision snapshots in it. Pass the scheduler-owned cache here on
     /// every arrival; the sequential reference path ignores it.
+    ///
+    /// With a `trace` sink, every candidate machine the search touched is
+    /// recorded — with its Eq. 2 utility breakdown — in search order, and
+    /// the winning candidate (if any) is marked [`EvalOutcome::Chosen`].
+    /// Tracing always takes the flat path (per-candidate records need
+    /// per-candidate components).
     pub fn decide_with_cache(
         &self,
         state: &ClusterState,
         job: &JobSpec,
         params: EvalParams,
         cache: Option<&EvalCache>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, None, params, cache)
-    }
-
-    /// [`Policy::decide_with_cache`] that also records every candidate
-    /// machine the search touched — with its Eq. 2 utility breakdown —
-    /// into `evals`. The evaluations appear in search order; the winning
-    /// candidate (if any) is marked [`EvalOutcome::Chosen`]. Tracing always
-    /// takes the flat path (per-candidate records need per-candidate
-    /// components).
-    pub fn decide_traced_with_cache(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
-        evals: &mut Vec<CandidateEval>,
-        params: EvalParams,
-        cache: Option<&EvalCache>,
-    ) -> Option<Decision> {
-        self.decide_impl(state, job, Some(evals), params, cache)
-    }
-
-    fn record_eval(
-        &self,
-        trace: &mut Option<&mut Vec<CandidateEval>>,
-        state: &ClusterState,
-        job: &JobSpec,
-        machine: MachineId,
-        gpus: &[GpuId],
-        outcome: EvalOutcome,
-    ) {
-        if let Some(evals) = trace.as_deref_mut() {
-            let (u_cc, u_b, u_d, utility) = if gpus.is_empty() {
-                (0.0, 0.0, 0.0, 0.0)
-            } else {
-                let c = placement_components(state, machine, job, gpus);
-                (
-                    c.u_cc,
-                    c.u_interference,
-                    c.u_domains,
-                    gts_map::utility(c, self.weights),
-                )
-            };
-            evals.push(CandidateEval {
-                machine,
-                gpus: gpus.to_vec(),
-                u_cc,
-                u_b,
-                u_d,
-                utility,
-                frag_after: fragmentation_after(state, machine, job, gpus),
-                outcome,
-            });
-        }
-    }
-
-    fn decide_impl(
-        &self,
-        state: &ClusterState,
-        job: &JobSpec,
         mut trace: Option<&mut Vec<CandidateEval>>,
-        params: EvalParams,
-        cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         if job.constraints.anti_collocate && job.n_gpus > 1 {
             let decision = self.decide_anti_collocated(state, job);
@@ -222,7 +167,7 @@ impl Policy {
             && !params.is_sequential()
             && state.shards().n_shards() > 1
         {
-            return self.decide_topo_sharded(state, job, params, cache);
+            return self.decide_topo_sharded(state, job, cache);
         }
         let n = job.n_gpus as usize;
         let candidates = state.machines_with_capacity(n);
@@ -352,6 +297,40 @@ impl Policy {
         }
     }
 
+    fn record_eval(
+        &self,
+        trace: &mut Option<&mut Vec<CandidateEval>>,
+        state: &ClusterState,
+        job: &JobSpec,
+        machine: MachineId,
+        gpus: &[GpuId],
+        outcome: EvalOutcome,
+    ) {
+        if let Some(evals) = trace.as_deref_mut() {
+            let (u_cc, u_b, u_d, utility) = if gpus.is_empty() {
+                (0.0, 0.0, 0.0, 0.0)
+            } else {
+                let c = placement_components(state, machine, job, gpus);
+                (
+                    c.u_cc,
+                    c.u_interference,
+                    c.u_domains,
+                    gts_map::utility(c, self.weights),
+                )
+            };
+            evals.push(CandidateEval {
+                machine,
+                gpus: gpus.to_vec(),
+                u_cc,
+                u_b,
+                u_d,
+                utility,
+                frag_after: fragmentation_after(state, machine, job, gpus),
+                outcome,
+            });
+        }
+    }
+
     /// The two-level sharded decision for `TOPO-AWARE(-P)`:
     ///
     /// 1. **Admission** — consult every shard's aggregates and drop shards
@@ -361,7 +340,7 @@ impl Policy {
     ///    unchanged since the last decision for this job class replay their
     ///    stored candidates/outcomes/u_max in O(1), establishing the
     ///    branch-and-bound floor without touching a machine;
-    /// 3. **Bound pruning** (`GTS_SHARD_BOUND`) — the remaining memo-miss
+    /// 3. **Bound pruning** — the remaining memo-miss
     ///    shards are sorted by descending admissible utility bound
     ///    ([`ShardBoundCtx`]); any shard whose bound proves it cannot enter
     ///    the selection window is skipped outright, and every evaluated
@@ -380,7 +359,6 @@ impl Policy {
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        params: EvalParams,
         cache: Option<&EvalCache>,
     ) -> Option<Decision> {
         let n = job.n_gpus as usize;
@@ -394,11 +372,9 @@ impl Policy {
         // retry whose snapshot guards hold re-evaluates only the shards
         // whose version stamps moved since the last decision for this job
         // class; `None` falls through to the full path below.
-        if params.decision_replay {
-            if let (Some(c), Some(k)) = (cache, job_key.as_ref()) {
-                if let Some(replayed) = self.try_replay(state, job, &graph, n, params, c, k) {
-                    return replayed;
-                }
+        if let (Some(c), Some(k)) = (cache, job_key.as_ref()) {
+            if let Some(replayed) = self.try_replay(state, job, &graph, n, c, k) {
+                return replayed;
             }
         }
 
@@ -460,7 +436,6 @@ impl Policy {
             let (fresh, pruned) = self.eval_misses(
                 state,
                 job,
-                params,
                 &misses,
                 |i| admitted[i],
                 u_floor,
@@ -518,20 +493,14 @@ impl Policy {
                     // Snapshot the whole decision for the replay path: how
                     // every shard resolved, under which version vector, and
                     // what came out (DESIGN.md §12).
-                    if params.decision_replay {
-                        store_decision_snap(
-                            row,
-                            shards,
-                            job,
-                            admitted
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, _)| hit[i])
-                                .map(|(_, &s)| s),
-                            pruned.iter().map(|&(i, b)| (admitted[i], b)),
-                            decision.as_ref(),
-                        );
-                    }
+                    store_decision_snap(
+                        row,
+                        shards,
+                        job,
+                        admitted.iter().enumerate().filter(|&(i, _)| hit[i]).map(|(_, &s)| s),
+                        pruned.iter().map(|&(i, b)| (admitted[i], b)),
+                        decision.as_ref(),
+                    );
                     decision
                 })
             } else {
@@ -603,7 +572,6 @@ impl Policy {
         job: &JobSpec,
         graph: &JobGraph,
         n: usize,
-        params: EvalParams,
         cache: &EvalCache,
         job_key: &JobClassKey,
     ) -> Option<Option<Decision>> {
@@ -692,7 +660,7 @@ impl Policy {
                 let decision =
                     stored.map(|(gpus, utility)| Decision { gpus, utility });
                 #[cfg(debug_assertions)]
-                self.debug_assert_replay_matches(state, job, params, &decision);
+                self.debug_assert_replay_matches(state, job, &decision);
                 return Some(decision);
             }
             Probe::Partial { mutated, kept, pruned, u_floor } => {
@@ -718,7 +686,6 @@ impl Policy {
         let (fresh_m, cut) = self.eval_misses(
             state,
             job,
-            params,
             &positions,
             |i| admitted_m[i],
             u_floor,
@@ -742,7 +709,7 @@ impl Policy {
         // prunable at the final floor; one that fails re-evaluates (and
         // may itself raise the floor — harmless, see above).
         for (s, bound, seed) in pruned_snap {
-            if params.shard_bound && bound_prunes(bound, u_floor, job.min_utility) {
+            if bound_prunes(bound, u_floor, job.min_utility) {
                 still_pruned.push((s, bound));
                 continue;
             }
@@ -855,23 +822,22 @@ impl Policy {
             });
         }
         #[cfg(debug_assertions)]
-        self.debug_assert_replay_matches(state, job, params, &decision);
+        self.debug_assert_replay_matches(state, job, &decision);
         Some(decision)
     }
 
     /// Debug shadow behind every replayed decision: re-run the whole
-    /// sharded decision with replay off and no memo (the fresh reference)
-    /// and assert the replay produced bit-identical output.
+    /// sharded decision without a cache — so no replay and no memo, the
+    /// fresh reference — and assert the replay produced bit-identical
+    /// output.
     #[cfg(debug_assertions)]
     fn debug_assert_replay_matches(
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        params: EvalParams,
         got: &Option<Decision>,
     ) {
-        let want =
-            self.decide_topo_sharded(state, job, params.with_decision_replay(false), None);
+        let want = self.decide_topo_sharded(state, job, None);
         match (got, &want) {
             (None, None) => {}
             (Some(a), Some(b)) => {
@@ -992,13 +958,12 @@ impl Policy {
         })
     }
 
-    /// Evaluates memo-miss shards on the caller's thread. With bound
-    /// pruning on (`GTS_SHARD_BOUND`) they run best admissible bound first
-    /// ([`ShardBoundCtx`]; ties on ascending key), each evaluated shard
-    /// raises the floor (starting from `u_floor`) for the ones still
-    /// queued, and a shard whose bound proves it cannot enter the
-    /// selection window ([`bound_prunes`]) is skipped and returned with its
-    /// bound instead. With it off they run in key order.
+    /// Evaluates memo-miss shards on the caller's thread, best admissible
+    /// bound first ([`ShardBoundCtx`]; ties on ascending key). Each
+    /// evaluated shard raises the floor (starting from `u_floor`) for the
+    /// ones still queued, and a shard whose bound proves it cannot enter
+    /// the selection window ([`bound_prunes`]) is skipped and returned with
+    /// its bound instead.
     ///
     /// `keys` ascend with shard id; `shard_of` maps a key to its shard and
     /// `eval` evaluates (or repairs) it. Returns `(evaluated, pruned)`,
@@ -1008,7 +973,6 @@ impl Policy {
         &self,
         state: &ClusterState,
         job: &JobSpec,
-        params: EvalParams,
         keys: &[usize],
         shard_of: impl Fn(usize) -> usize,
         u_floor: f64,
@@ -1017,10 +981,6 @@ impl Policy {
         let shards = state.shards();
         let mut fresh = Vec::with_capacity(keys.len());
         let mut pruned = Vec::new();
-        if !params.shard_bound {
-            fresh.extend(keys.iter().map(|&k| (k, eval(k))));
-            return (fresh, pruned);
-        }
         if keys.is_empty() {
             return (fresh, pruned);
         }

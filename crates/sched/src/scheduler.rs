@@ -25,6 +25,10 @@ use gts_job::{JobId, JobSpec, WaitQueue};
 use gts_topo::{GlobalGpuId, MachineId};
 use std::time::Instant;
 
+/// Cross-event cache capacity in entries per state shard: a scheduler's
+/// cache holds this many entries for every shard of its cluster state.
+const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
 /// Scheduler construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
@@ -33,21 +37,16 @@ pub struct SchedulerConfig {
     /// Candidate-evaluation engine parameters.
     pub eval: EvalParams,
     /// Whether to keep a cross-event [`EvalCache`] for the run (DESIGN.md
-    /// §9). Defaults to the `GTS_EVAL_CACHE` knob; the cache only ever
-    /// engages on the engine path (not `eval.sequential`).
+    /// §9). On by default; the cache only ever engages on the engine path
+    /// (not `eval.sequential`).
     pub eval_cache: bool,
 }
 
 impl SchedulerConfig {
-    /// Config with the environment-selected evaluation engine
-    /// ([`EvalParams::from_env`]) and cache toggle
-    /// ([`EvalCache::enabled_by_env`]).
+    /// Config with the memoized engine ([`EvalParams::engine`]) and the
+    /// cross-event cache on.
     pub fn new(policy: Policy) -> Self {
-        Self {
-            policy,
-            eval: EvalParams::from_env(),
-            eval_cache: EvalCache::enabled_by_env(),
-        }
+        Self { policy, eval: EvalParams::engine(), eval_cache: true }
     }
 }
 
@@ -98,9 +97,14 @@ pub struct Scheduler {
     policy: Policy,
     eval: EvalParams,
     /// The cross-event placement cache, alive for the whole run and shared
-    /// by every shard of the cluster state (sized by
-    /// [`EvalCache::from_env_per_shard`]). `None` when disabled by
-    /// config/knob.
+    /// by every shard of the cluster state: [`DEFAULT_CACHE_CAPACITY`]
+    /// entries per shard, the same total budget a cache-per-shard split
+    /// would claim. Sharing matters because machine-class keys recur across
+    /// shards — an idle machine's key is the same in every rack — and
+    /// per-shard caches would make every shard learn every (machine class,
+    /// job class) pair independently. Keys are pure functions of state, so
+    /// cache placement never affects the bits a lookup returns. `None` when
+    /// disabled by config.
     eval_cache: Option<EvalCache>,
     state: ClusterState,
     queue: WaitQueue,
@@ -115,9 +119,8 @@ pub struct Scheduler {
 impl Scheduler {
     /// A scheduler over a fresh cluster state.
     pub fn new(state: ClusterState, config: SchedulerConfig) -> Self {
-        let eval_cache = config
-            .eval_cache
-            .then(|| EvalCache::from_env_per_shard(state.shards().n_shards()));
+        let capacity = DEFAULT_CACHE_CAPACITY.saturating_mul(state.shards().n_shards().max(1));
+        let eval_cache = config.eval_cache.then(|| EvalCache::with_capacity(capacity));
         Self {
             policy: config.policy,
             eval: config.eval,
@@ -280,26 +283,17 @@ impl Scheduler {
 
             let started = Instant::now();
             let cache = self.eval_cache.as_ref();
-            let decision = if self.tracing {
-                let mut evals = Vec::new();
-                let d = self.policy.decide_traced_with_cache(
-                    &self.state,
-                    &job,
-                    &mut evals,
-                    self.eval,
-                    cache,
-                );
-                if !evals.is_empty() {
-                    self.trace.push(TraceEvent::Evaluated {
-                        t_s: self.now_s,
-                        job: job.id,
-                        candidates: evals,
-                    });
-                }
-                d
-            } else {
-                self.policy.decide_with_cache(&self.state, &job, self.eval, cache)
-            };
+            let mut evals = Vec::new();
+            let trace = self.tracing.then_some(&mut evals);
+            let decision =
+                self.policy.decide_with_cache(&self.state, &job, self.eval, cache, trace);
+            if !evals.is_empty() {
+                self.trace.push(TraceEvent::Evaluated {
+                    t_s: self.now_s,
+                    job: job.id,
+                    candidates: evals,
+                });
+            }
             self.stats.record(started.elapsed());
 
             match decision {

@@ -156,10 +156,10 @@ pub enum TraceEvent {
         evictions: u64,
     },
     /// End-of-run counters of the cross-event decision-replay path
-    /// (`GTS_DECISION_REPLAY`, DESIGN.md §12). Appended once by the
-    /// simulator when tracing with nonzero replay activity; absent
-    /// otherwise, so replay-off traces stay comparable event-for-event
-    /// after stripping this variant.
+    /// (DESIGN.md §12). Appended once by the simulator when tracing with
+    /// nonzero replay activity; absent otherwise, so traces stay
+    /// comparable with the reference's event-for-event after stripping
+    /// this variant.
     DecisionReplayStats {
         /// Event time, seconds (the run's final clock).
         t_s: f64,

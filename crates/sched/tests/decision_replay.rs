@@ -1,10 +1,11 @@
 //! Snapshot-invalidation edges of the cross-event decision-replay path
-//! (`GTS_DECISION_REPLAY`, DESIGN.md §12).
+//! (DESIGN.md §12).
 //!
 //! Each test drives the *public* `Scheduler` surface through an event
-//! script twice — replay on vs replay off — and asserts the iteration
-//! outcomes (placements, GPUs, utility bits) and final cluster occupancy
-//! are identical, while the replay-on run actually exercised its
+//! script twice — the shipped engine vs the sequential reference
+//! (`EvalParams::sequential()`, which never replays) — and asserts the
+//! iteration outcomes (placements, GPUs, utility bits) and final cluster
+//! occupancy are identical, while the engine run actually exercised its
 //! snapshots. The scripts target the edges where a stale snapshot would
 //! be most tempting to trust: a machine failing and recovering while the
 //! queue is blocked, a cancel landing on a job whose class is
@@ -65,13 +66,13 @@ fn wide_job(id: u64, gpus: u32) -> JobSpec {
 /// fingerprint, and the replay counters.
 fn run_script(
     state: ClusterState,
-    replay: bool,
+    eval: EvalParams,
     script: &[Ev],
 ) -> (Vec<Vec<PlacementOutcome>>, Vec<usize>, DecisionReplayStats) {
     let n_machines = state.cluster().machines().count();
     let config = SchedulerConfig {
         policy: Policy::new(PolicyKind::TopoAware),
-        eval: EvalParams::engine().with_decision_replay(replay),
+        eval,
         eval_cache: true,
     };
     let mut sched = Scheduler::new(state, config);
@@ -130,14 +131,15 @@ fn assert_outcomes_identical(on: &[Vec<PlacementOutcome>], off: &[Vec<PlacementO
     }
 }
 
-/// Runs the script under replay on and off, asserts bit-identity, and
-/// hands back the replay-on counters for activity assertions.
+/// Runs the script under the engine and the sequential reference, asserts
+/// bit-identity, and hands back the engine's counters for activity
+/// assertions.
 fn assert_replay_invariant(state: ClusterState, script: &[Ev]) -> DecisionReplayStats {
-    let (on, occ_on, stats_on) = run_script(state.clone(), true, script);
-    let (off, occ_off, stats_off) = run_script(state, false, script);
+    let (on, occ_on, stats_on) = run_script(state.clone(), EvalParams::engine(), script);
+    let (off, occ_off, stats_off) = run_script(state, EvalParams::sequential(), script);
     assert_outcomes_identical(&on, &off);
     assert_eq!(occ_on, occ_off, "final occupancy diverged");
-    assert_eq!(stats_off, DecisionReplayStats::default(), "replay off must not snapshot");
+    assert_eq!(stats_off, DecisionReplayStats::default(), "the reference must not snapshot");
     stats_on
 }
 

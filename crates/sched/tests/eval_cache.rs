@@ -67,7 +67,7 @@ fn lru_eviction_then_recompute_is_bit_identical() {
     // the tiny shards.
     let first: Vec<_> = jobs
         .iter()
-        .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny)))
+        .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny), None))
         .collect();
     let stats = tiny.stats();
     assert!(stats.misses > 0, "sweep must populate the cache");
@@ -79,7 +79,7 @@ fn lru_eviction_then_recompute_is_bit_identical() {
     // Second sweep: evicted classes recompute; answers must not drift.
     let second: Vec<_> = jobs
         .iter()
-        .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny)))
+        .map(|j| policy.decide_with_cache(&state, j, params, Some(&tiny), None))
         .collect();
 
     // Reference: no cache at all.
@@ -113,11 +113,11 @@ fn warm_cache_serves_hits_without_drift() {
     let jobs = job_classes();
 
     for j in &jobs {
-        policy.decide_with_cache(&state, j, params, Some(&cache));
+        policy.decide_with_cache(&state, j, params, Some(&cache), None);
     }
     let cold = cache.stats();
     for j in &jobs {
-        let cached = policy.decide_with_cache(&state, j, params, Some(&cache));
+        let cached = policy.decide_with_cache(&state, j, params, Some(&cache), None);
         let reference = policy.decide_with(&state, j, params);
         assert_eq!(
             cached.map(|d| (d.gpus, d.utility.to_bits())),

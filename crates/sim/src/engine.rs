@@ -12,8 +12,7 @@
 //! # Incremental event loop
 //!
 //! The loop runs in one of two modes, selected by
-//! [`SimConfig::incremental`] (env default: `GTS_SIM_INCREMENTAL`, on
-//! unless set to `0`/`false`/`off`):
+//! [`SimConfig::incremental`] (incremental by default):
 //!
 //! * **Reference** — after every event, every running job's slowdown is
 //!   re-derived against every other running job (O(J²) pairwise with a
@@ -47,13 +46,13 @@ use crate::runtime::{current_slowdown, Progress, RunningJob};
 use gts_job::{BatchClass, JobId, JobSpec, NnModel};
 use gts_perf::ProfileLibrary;
 use gts_sched::{
-    Allocation, CancelOutcome, ClusterState, EvalCache, EvalParams, PlacementOutcome, Policy,
+    Allocation, CancelOutcome, ClusterState, EvalParams, PlacementOutcome, Policy,
     Scheduler, SchedulerConfig, ShardSpec, TraceEvent,
 };
 use gts_topo::{ClusterTopology, MachineId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A rejected [`SimConfig`] input, caught at construction time instead of
 /// panicking deep inside the event loop.
@@ -109,26 +108,24 @@ pub struct SimConfig {
     /// per-candidate utility breakdowns for every placement decision. Off
     /// by default: tracing allocates per decision, so benches pay nothing.
     pub trace: bool,
-    /// Candidate-evaluation engine parameters (defaults to
-    /// [`EvalParams::from_env`]; `EvalParams::sequential()` selects the
-    /// reference path).
+    /// Candidate-evaluation engine parameters (defaults to the memoized
+    /// engine, [`EvalParams::engine`]; `EvalParams::sequential()` selects
+    /// the reference path).
     pub eval: EvalParams,
     /// Run the incremental event loop (machine-scoped slowdown refresh +
     /// completion heap) instead of the O(J²)-per-event reference loop.
-    /// Defaults from `GTS_SIM_INCREMENTAL` (on unless `0`/`false`/`off`);
-    /// both modes produce bit-identical [`SimResult`]s.
+    /// On by default; both modes produce bit-identical [`SimResult`]s.
     pub incremental: bool,
-    /// Keep the cross-event placement cache ([`EvalCache`]) alive for the
-    /// whole run, so arrivals that see a machine/job equivalence class any
-    /// earlier arrival already evaluated skip the DRB mapping entirely.
-    /// Defaults from `GTS_EVAL_CACHE` (on unless `0`/`false`/`off`); cache
-    /// on and off produce bit-identical [`SimResult`]s (modulo the
+    /// Keep the cross-event placement cache ([`gts_sched::EvalCache`])
+    /// alive for the whole run, so arrivals that see a machine/job
+    /// equivalence class any earlier arrival already evaluated skip the
+    /// DRB mapping entirely. On by default; cache on and off produce
+    /// bit-identical [`SimResult`]s (modulo the
     /// [`TraceEvent::EvalCacheStats`] footer when tracing).
     pub eval_cache: bool,
-    /// Overrides the cluster-state shard count (`None` = `GTS_SHARDS` env
-    /// default, rack-aligned auto partition). `Some(1)` forces the
-    /// single-shard reference decision path; any count produces
-    /// bit-identical [`SimResult`]s.
+    /// Overrides the cluster-state shard count (`None` = rack-aligned
+    /// auto partition). `Some(1)` forces the single-shard reference
+    /// decision path; any count produces bit-identical [`SimResult`]s.
     pub shards: Option<usize>,
     /// Meter per-phase wall time (decision / refresh / heap / drain) into
     /// [`SimLoopStats`]. Off by default: the heap/refresh/drain phases
@@ -138,21 +135,10 @@ pub struct SimConfig {
     pub phase_timing: bool,
 }
 
-/// Reads `GTS_SIM_INCREMENTAL` (cached after the first read). The
-/// incremental loop is on unless the variable is set to `0`, `false`, or
-/// `off` — it is bit-identical to the reference loop, so there is no
-/// accuracy reason to opt out.
-fn incremental_default() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("GTS_SIM_INCREMENTAL") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
-    })
-}
-
 impl SimConfig {
     /// Config with the given policy, utility sampling on, no jitter, no
-    /// failures.
+    /// failures, and the shipped engine: memoized evaluation, incremental
+    /// loop, cross-event cache on, rack-aligned shards.
     pub fn new(policy: Policy) -> Self {
         Self {
             policy,
@@ -162,9 +148,9 @@ impl SimConfig {
             machine_failures: Vec::new(),
             machine_recoveries: Vec::new(),
             trace: false,
-            eval: EvalParams::from_env(),
-            incremental: incremental_default(),
-            eval_cache: EvalCache::enabled_by_env(),
+            eval: EvalParams::engine(),
+            incremental: true,
+            eval_cache: true,
             shards: None,
             phase_timing: false,
         }
@@ -189,7 +175,7 @@ impl SimConfig {
     }
 
     /// Enables (`true`) or disables (`false`) the cross-event placement
-    /// cache, overriding `GTS_EVAL_CACHE`.
+    /// cache.
     pub fn with_eval_cache(mut self, eval_cache: bool) -> Self {
         self.eval_cache = eval_cache;
         self
@@ -313,15 +299,14 @@ pub struct SimLoopStats {
     /// shard had enough free GPUs, so placement never scanned it.
     pub shard_admission_skipped: u64,
     /// Memo-miss shards whose admissible utility bound was consulted by
-    /// the branch-and-bound prune pass. 0 with `GTS_SHARD_BOUND=0` or on
-    /// the single-shard path.
+    /// the branch-and-bound prune pass. 0 on the single-shard path.
     pub shard_bound_checked: u64,
     /// Memo-miss shards skipped outright because their bound proved no
     /// candidate could enter the selection window.
     pub shard_bound_pruned: u64,
     /// Queue-drain retries answered from a cross-event decision snapshot
-    /// (`GTS_DECISION_REPLAY`, DESIGN.md §12). 0 with replay off, on the
-    /// single-shard path, or with the eval cache disabled.
+    /// (DESIGN.md §12). 0 on the single-shard path, on the sequential
+    /// reference, or with the eval cache disabled.
     pub replay_hits: u64,
     /// Shards re-evaluated by partial replays — everything else those
     /// retries needed was reused from the snapshot.
@@ -602,8 +587,9 @@ impl Simulation {
             self.stats.replay_full_fallbacks = replay.full_fallbacks;
             // Footer only when there was replay activity: traced runs take
             // the flat reference path (tracing needs per-candidate
-            // records), so their counters are zero and replay-off traces
-            // stay comparable event-for-event without stripping.
+            // records), so their counters are zero and traces stay
+            // comparable with the reference's event-for-event without
+            // stripping.
             if self.config.trace
                 && (replay.hits > 0 || replay.shards_reeval > 0 || replay.full_fallbacks > 0)
             {
@@ -1624,13 +1610,13 @@ mod tests {
     /// The utility-bound pruner must surface its counters through
     /// `SimLoopStats`, actually prune in a scenario built to trip the
     /// min-utility gate arm, and leave results bit-identical to the
-    /// unpruned path. Scenario: 2 machines / 2 shards; job 0 occupies
+    /// sequential reference, which never prunes. Scenario: 2 machines / 2 shards; job 0 occupies
     /// machine 0, so job 1 (min_utility just under 1) sees shard 1 as a
     /// memo hit at utility 1.0 (the floor) while shard 0's occupied-machine
     /// bound falls below the gate — an exact prune.
     #[test]
     fn shard_bound_counters_surface_in_stats() {
-        let run = |bound: bool| {
+        let run = |eval: EvalParams| {
             let machine = power8_minsky();
             let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
@@ -1648,16 +1634,16 @@ mod tests {
                 cluster,
                 profiles,
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::engine().with_shard_bound(bound))
+                    .with_eval(eval)
                     .with_eval_cache(true)
                     .with_shards(2),
             )
             .run_with_stats(trace)
         };
-        let (base_res, base) = run(false);
+        let (base_res, base) = run(EvalParams::sequential());
         assert_eq!(base.shard_bound_checked, 0);
         assert_eq!(base.shard_bound_pruned, 0);
-        let (res, stats) = run(true);
+        let (res, stats) = run(EvalParams::engine());
         assert!(stats.shard_bound_checked > 0, "no shard was bound-checked");
         assert!(stats.shard_bound_pruned > 0, "gate-arm scenario never pruned");
         assert_eq!(res.records, base_res.records);
@@ -1667,14 +1653,14 @@ mod tests {
 
     /// Cross-event decision replay must surface its counters through
     /// `SimLoopStats`, actually fire under a queue that retries across
-    /// completions, and leave results bit-identical to the replay-off
-    /// path. Scenario: 2 machines / 2 shards, machine-filling jobs, so
+    /// completions, and leave results bit-identical to the sequential
+    /// reference, which never replays. Scenario: 2 machines / 2 shards, machine-filling jobs, so
     /// every completion re-decides the queue head after mutating exactly
     /// one shard — the partial-replay shape — while arrival-only event
     /// batches retry with nothing moved — the O(1) full-hit shape.
     #[test]
     fn decision_replay_counters_surface_in_stats() {
-        let run = |replay: bool, phase_timing: bool| {
+        let run = |eval: EvalParams, phase_timing: bool| {
             let machine = power8_minsky();
             let profiles = Arc::new(ProfileLibrary::generate(&machine, 1));
             let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, 2, 1));
@@ -1690,19 +1676,19 @@ mod tests {
                 cluster,
                 profiles,
                 SimConfig::new(Policy::new(PolicyKind::TopoAware))
-                    .with_eval(EvalParams::engine().with_decision_replay(replay))
+                    .with_eval(eval)
                     .with_eval_cache(true)
                     .with_shards(2)
                     .with_phase_timing(phase_timing),
             )
             .run_with_stats(trace)
         };
-        let (off_res, off) = run(false, false);
-        assert_eq!(off.replay_hits, 0, "replay off must not snapshot");
+        let (off_res, off) = run(EvalParams::sequential(), false);
+        assert_eq!(off.replay_hits, 0, "the reference must not snapshot");
         assert_eq!(off.replay_shards_reeval, 0);
         assert_eq!(off.replay_full_fallbacks, 0);
         assert_eq!(off.phase_drain_ns, 0, "phase timing off leaves drain unmetered");
-        let (on_res, on) = run(true, true);
+        let (on_res, on) = run(EvalParams::engine(), true);
         assert!(on.replay_hits > 0, "queue retries never replayed");
         assert!(on.phase_decision_ns > 0, "decisions are always metered");
         assert!(on.phase_drain_ns > 0, "phase timing on must meter the drain");

@@ -14,7 +14,7 @@
 //! * [`engine`] — the event loop (arrivals, completions, scheduler
 //!   wakeups), in two bit-identical flavours: an O(J²)-per-event reference
 //!   and an incremental loop (machine-scoped slowdown refresh + lazy
-//!   completion heap) selected by `GTS_SIM_INCREMENTAL`;
+//!   completion heap) selected by [`SimConfig::with_incremental`];
 //! * [`metrics`] — per-job records (QoS slowdown, QoS+wait slowdown,
 //!   utility, SLO violations), timelines and summary statistics;
 //! * [`ideal`] — the "fastest execution" baseline every slowdown is

@@ -325,24 +325,32 @@ fn simulate_with_shards(
     kind: PolicyKind,
     shards: usize,
 ) -> SimResult {
-    simulate_with_shards_eval(seed, n_racks, kind, shards, EvalParams::engine())
+    simulate_with_shards_stats(seed, n_racks, kind, shards, false).0
 }
 
-/// [`simulate_with_shards`] with explicit [`EvalParams`] so the
-/// bound-pruning / decision-replay knobs can be pinned per run,
-/// independent of the process environment.
-fn simulate_with_shards_eval(
+/// [`simulate_with_shards`] that also returns the event-loop counters, so
+/// a test can assert that the layer it guards actually engaged.
+/// `strict_slos` raises every odd job's `min_utility` to 0.999: under the
+/// generator's default SLOs the admissible shard bound almost never falls
+/// below the selection floor, so the prune pass checks shards but never
+/// cuts one, while a strict SLO lets the `min_utility` gate arm cut them.
+fn simulate_with_shards_stats(
     seed: u64,
     n_racks: usize,
     kind: PolicyKind,
     shards: usize,
-    eval: EvalParams,
-) -> SimResult {
+    strict_slos: bool,
+) -> (SimResult, SimLoopStats) {
     let machine = power8_minsky();
     let profiles = Arc::new(ProfileLibrary::generate(&machine, 42));
     let cluster = Arc::new(ClusterTopology::homogeneous_racked(machine, n_racks, 2));
-    let trace = WorkloadGenerator::with_defaults(seed).generate(24);
-    let mut config = SimConfig::new(Policy::new(kind)).with_eval(eval).with_shards(shards);
+    let mut trace = WorkloadGenerator::with_defaults(seed).generate(24);
+    if strict_slos {
+        for job in trace.iter_mut().filter(|j| j.id.0 % 2 == 1) {
+            job.min_utility = 0.999;
+        }
+    }
+    let mut config = SimConfig::new(Policy::new(kind)).with_shards(shards);
     if seed.is_multiple_of(2) {
         config = config
             .with_machine_failures(vec![(50.0, MachineId(1))])
@@ -351,7 +359,7 @@ fn simulate_with_shards_eval(
     if seed.is_multiple_of(3) {
         config = config.with_jitter(0.08, seed.wrapping_mul(0x9E37_79B9) + 1);
     }
-    Simulation::new(cluster, profiles, config).run(trace)
+    Simulation::new(cluster, profiles, config).run_with_stats(trace)
 }
 
 /// Asserts two runs are bit-identical in everything but wall-clock.
@@ -393,59 +401,53 @@ fn sharded_scheduler_is_bit_identical_to_single_shard() {
     }
 }
 
-/// The branch-and-bound shard pruning, on and off, must be bit-identical
-/// to the single-shard reference: same records, same events, same metrics,
-/// for every policy across many seeds, including machine-failure and
-/// jitter runs. Uses 4+ racks so decisions have several memo-miss shards
-/// to order and prune, and pins the knob through [`EvalParams`] so both
-/// positions run in-process regardless of `GTS_SHARD_BOUND` in the
-/// environment. Debug builds additionally shadow-evaluate every pruned
-/// shard inside the decision path and assert the bound held.
+/// The shipped engine, whose branch-and-bound shard pruning is always on,
+/// must be bit-identical to the single-shard reference: same records, same
+/// events, same metrics, for every policy across many seeds, including
+/// machine-failure and jitter runs. Uses 4+ racks so decisions have several
+/// memo-miss shards to order and prune, strict SLOs on half the jobs so the
+/// prune pass actually cuts shards, and asserts that pruning fired in the
+/// sweep. Debug builds additionally shadow-evaluate every pruned shard
+/// inside the decision path and assert the bound held.
 #[test]
 fn pruned_shards_are_bit_identical_to_single_shard() {
+    let mut pruned = 0;
     for kind in PolicyKind::ALL {
         for seed in 0..8u64 {
             let n_racks = 4 + (seed as usize % 3);
-            let single = simulate_with_shards(seed, n_racks, kind, 1);
-            for bound in [false, true] {
-                let eval = EvalParams::engine().with_shard_bound(bound);
-                let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                let ctx = format!("{kind:?} seed {seed} ({n_racks} racks, bound={bound})");
-                assert_runs_identical(&ctx, &single, &run);
-            }
+            let (single, _) = simulate_with_shards_stats(seed, n_racks, kind, 1, true);
+            let (run, stats) = simulate_with_shards_stats(seed, n_racks, kind, n_racks, true);
+            let ctx = format!("{kind:?} seed {seed} ({n_racks} racks, strict SLOs)");
+            assert_runs_identical(&ctx, &single, &run);
+            pruned += stats.shard_bound_pruned;
         }
     }
+    assert!(pruned > 0, "no shard was ever bound-pruned");
 }
 
-/// Cross-event decision replay (`GTS_DECISION_REPLAY`, DESIGN.md §12) must
-/// be bit-identical to full re-evaluation: same records, same events, same
-/// metrics, for every policy across many seeds — including machine-failure/
-/// recovery and jitter runs, where snapshots go stale mid-queue — and
-/// with bound pruning on and off (the cached per-shard floor seeds the
-/// bound prune, so the interaction matters). The knobs are pinned through [`EvalParams`] so the matrix is
-/// exercised in-process regardless of the environment; debug builds
+/// Cross-event decision replay (DESIGN.md §12), always on in the shipped
+/// engine, must be bit-identical to the single-shard reference, which never
+/// replays: same records, same events, same metrics, for every policy
+/// across many seeds — including machine-failure/recovery and jitter runs,
+/// where snapshots go stale mid-queue. The cached per-shard floor seeds the
+/// bound prune, so both layers run together here, and the test asserts
+/// that replay actually fired somewhere in the sweep. Debug builds
 /// additionally shadow every replayed retry with a from-scratch decision
 /// inside the decision path and assert GPU-for-GPU, bit-for-bit equality.
 #[test]
 fn decision_replay_is_bit_identical_to_full_reeval() {
+    let mut replayed = 0;
     for kind in PolicyKind::ALL {
         for seed in 0..8u64 {
             let n_racks = 4 + (seed as usize % 3);
             let single = simulate_with_shards(seed, n_racks, kind, 1);
-            for replay in [false, true] {
-                for bound in [false, true] {
-                    let eval = EvalParams::engine()
-                        .with_shard_bound(bound)
-                        .with_decision_replay(replay);
-                    let run = simulate_with_shards_eval(seed, n_racks, kind, n_racks, eval);
-                    let ctx = format!(
-                        "{kind:?} seed {seed} ({n_racks} racks, replay={replay}, bound={bound})"
-                    );
-                    assert_runs_identical(&ctx, &single, &run);
-                }
-            }
+            let (run, stats) = simulate_with_shards_stats(seed, n_racks, kind, n_racks, false);
+            let ctx = format!("{kind:?} seed {seed} ({n_racks} racks)");
+            assert_runs_identical(&ctx, &single, &run);
+            replayed += stats.replay_hits;
         }
     }
+    assert!(replayed > 0, "no queue retry was ever replayed");
 }
 
 proptest! {
